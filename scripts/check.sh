@@ -4,10 +4,10 @@
 # under ASan+UBSan. Each sanitizer gets its own build directory so the
 # builds never contaminate each other.
 #
-# Usage:  scripts/check.sh [fast|lint|lint-fast|chaos|bench|examples|dense|failover|parallel|techs]
+# Usage:  scripts/check.sh [fast|lint|lint-fast|chaos|bench|examples|dense|failover|techs]
 #   default — plain + lint (clang-tidy + bicord_lint) + dense smoke +
-#             parallel smoke + techs smoke + failover smoke + TSAN +
-#             ASan/UBSan, i.e. warnings -> static gates -> tests -> sanitizers
+#             failover smoke + TSAN + ASan/UBSan, i.e. warnings -> static
+#             gates -> tests -> sanitizers
 #   fast    — plain build + tests only
 #   lint    — static gates only: clang-tidy (skipped with a notice when the
 #             tool is absent) and tools/bicord_lint, both against ratcheted
@@ -28,17 +28,9 @@
 #             TSAN, then a failover-preset bicordsim run (clock skew + primary
 #             kill/rejoin) whose invariant checker gates the exit code; part
 #             of the default full gate
-#   parallel — intra-sim parallelism smoke: the WorkerPool/ParallelDispatcher
-#             and phased-fanout suites under TSAN (race detection on the real
-#             absorb/react split), then bicordsim on dense1k with
-#             --sim-threads 1 vs 8 asserting byte-identical stdout (the
-#             bitwise-determinism contract of DESIGN.md Sec. 14); part of the
-#             default full gate
 #   techs   — third/fourth-technology smoke: the LTE-U + TSCH suite under
-#             ASan/UBSan, then bicordsim on the lteu and tsch presets at
-#             --sim-threads 1 vs 8 asserting byte-identical stdout (the
-#             TechnologyTraits seam proof of DESIGN.md Sec. 15); part of the
-#             default full gate
+#             ASan/UBSan (the TechnologyTraits seam proof of DESIGN.md
+#             Sec. 14); the default gate's full ASan pass covers it too
 #   bench   — perf smoke: one fast bench_micro pass asserting the
 #             machine-independent invariants (hot path allocation-free);
 #             absolute-time comparison is opt-in via scripts/bench.sh compare
@@ -114,89 +106,18 @@ if [ "$MODE" = "dense" ]; then
   exit 0
 fi
 
-# Parallel smoke: the intra-simulation parallelism contract. The TSAN leg
-# runs the WorkerPool/ParallelDispatcher unit suite and the phased-fanout
-# equivalence/teleport stress (real worker threads racing over the absorb
-# phase); the bicordsim leg pins the user-visible contract — dense1k stdout
-# is byte-identical at sim.threads 1 and 8.
-parallel_smoke_tsan() {
-  ./build-tsan/tests/sim_tests \
-    --gtest_filter='WorkerPoolTest.*:ParallelDispatcherTest.*:PhasedFanoutTest.*'
-}
-
-parallel_smoke_sim() {
-  local out_serial="build/parallel_smoke_dense1k_t1.txt"
-  local out_par="build/parallel_smoke_dense1k_t8.txt"
-  echo "-- dense1k: sim.threads 1 vs 8"
-  ./build/tools/bicordsim --scenario dense1k --warmup-seconds 0 --seconds 1 \
-    --sim-threads 1 > "$out_serial"
-  ./build/tools/bicordsim --scenario dense1k --warmup-seconds 0 --seconds 1 \
-    --sim-threads 8 > "$out_par" 2> /dev/null
-  diff "$out_serial" "$out_par" || {
-    echo "FAIL: dense1k output differs between sim.threads 1 and 8" >&2
-    return 1
-  }
-  echo "OK: dense1k byte-identical at sim.threads 1 and 8"
-}
-
-if [ "$MODE" = "parallel" ]; then
-  echo "== parallel smoke: TSAN, worker pool + dispatcher + phased fanout =="
-  cmake -B build-tsan -S . -DBICORD_SANITIZE=thread > /dev/null
-  cmake --build build-tsan -j "$JOBS" --target sim_tests
-  parallel_smoke_tsan
-
-  echo
-  echo "== parallel smoke: bicordsim dense1k sim.threads 1 vs 8 =="
-  cmake -B build -S . > /dev/null
-  cmake --build build -j "$JOBS" --target bicordsim
-  parallel_smoke_sim
-
-  echo
-  echo "OK: parallel smoke green (TSAN + bitwise 1-vs-8)"
-  exit 0
-fi
-
 # Techs smoke: the LTE-U and TSCH technologies — the two instantiations
 # that prove the TechnologyTraits seam carries a whole technology without
-# engine surgery. The ASan leg runs their unit/scenario suite; the bicordsim
-# leg pins both presets byte-identical at sim.threads 1 vs 8 (TSCH retunes
-# radios mid-run, so frequency agility is the shard-plan risk to watch).
-techs_smoke_asan() {
-  ./build-asan/tests/techs_tests
-}
-
-techs_smoke_sim() {
-  local preset out_serial out_par
-  for preset in lteu tsch; do
-    out_serial="build/techs_smoke_${preset}_t1.txt"
-    out_par="build/techs_smoke_${preset}_t8.txt"
-    echo "-- $preset: sim.threads 1 vs 8"
-    ./build/tools/bicordsim --scenario "$preset" --seconds 3 \
-      --sim-threads 1 > "$out_serial"
-    ./build/tools/bicordsim --scenario "$preset" --seconds 3 \
-      --sim-threads 8 > "$out_par" 2> /dev/null
-    diff "$out_serial" "$out_par" || {
-      echo "FAIL: $preset output differs between sim.threads 1 and 8" >&2
-      return 1
-    }
-  done
-  echo "OK: lteu + tsch presets byte-identical at sim.threads 1 and 8"
-}
-
+# engine surgery — under ASan/UBSan. The golden file pins both presets'
+# output bitwise.
 if [ "$MODE" = "techs" ]; then
   echo "== techs smoke: ASan + UBSan, LTE-U + TSCH suite =="
   cmake -B build-asan -S . -DBICORD_SANITIZE=address > /dev/null
   cmake --build build-asan -j "$JOBS" --target techs_tests
-  techs_smoke_asan
+  ./build-asan/tests/techs_tests
 
   echo
-  echo "== techs smoke: bicordsim lteu/tsch sim.threads 1 vs 8 =="
-  cmake -B build -S . > /dev/null
-  cmake --build build -j "$JOBS" --target bicordsim
-  techs_smoke_sim
-
-  echo
-  echo "OK: techs smoke green (ASan/UBSan + bitwise 1-vs-8)"
+  echo "OK: techs smoke green (ASan/UBSan)"
   exit 0
 fi
 
@@ -285,19 +206,10 @@ echo "== dense smoke: spatial index vs brute force =="
 dense_smoke
 
 echo
-echo "== parallel smoke: bicordsim dense1k sim.threads 1 vs 8 =="
-parallel_smoke_sim
-
-echo
-echo "== techs smoke: bicordsim lteu/tsch sim.threads 1 vs 8 =="
-techs_smoke_sim
-
-echo
-echo "== ThreadSanitizer: runner tests + parallel dispatch + failover soak =="
+echo "== ThreadSanitizer: runner tests + failover soak =="
 cmake -B build-tsan -S . -DBICORD_SANITIZE=thread > /dev/null
-cmake --build build-tsan -j "$JOBS" --target runner_tests fault_tests sim_tests
+cmake --build build-tsan -j "$JOBS" --target runner_tests fault_tests
 ./build-tsan/tests/runner_tests
-parallel_smoke_tsan
 failover_smoke_tsan
 
 echo
@@ -311,4 +223,4 @@ echo "== failover smoke: bicordsim failover preset =="
 failover_smoke_sim
 
 echo
-echo "OK: plain, lint, dense smoke, parallel smoke, techs smoke, TSAN (runner+parallel+failover), ASan/UBSan, failover all green"
+echo "OK: plain, lint, dense smoke, TSAN (runner+failover), ASan/UBSan, failover all green"

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runner/trial_pool.hpp"
 #include "util/rng.hpp"
 
 namespace bicord::coex {
@@ -48,11 +47,7 @@ std::vector<MetricSummary> ExperimentRunner::run(int repetitions) {
         }
         return values;
       });
-  // Each trial spawns base_.sim_threads workers of its own, so the trial
-  // fan-out divides the shared core budget rather than multiplying it.
-  engine.set_jobs(base_.sim_threads > 1
-                      ? runner::resolve_jobs_budgeted(jobs_, base_.sim_threads)
-                      : jobs_);
+  engine.set_jobs(jobs_);
   if (progress_) engine.set_progress(progress_);
   auto summaries = engine.run(repetitions);
   report_ = engine.last_report();

@@ -99,36 +99,8 @@ Scenario::Scenario(ScenarioConfig config)
   build_dense();
   build_mobility();
   build_faults();
-  build_parallel();
   probe_.start(sim_->now());
   measure_start_ = sim_->now();
-}
-
-Scenario::~Scenario() {
-  // Members destroy in reverse declaration order (pool before medium);
-  // detaching first keeps the medium from holding a dangling pool pointer
-  // while radios unwind.
-  if (medium_) medium_->set_worker_pool(nullptr);
-}
-
-void Scenario::build_parallel() {
-  if (config_.sim_threads <= 1) return;
-  worker_pool_ = std::make_unique<sim::WorkerPool>(config_.sim_threads);
-  medium_->set_worker_pool(worker_pool_.get());
-  // Conservative lookahead: the smallest receive→react→transmit latency any
-  // active technology can manage. Wi-Fi turns around in SIFS, 802.15.4 in
-  // aTurnaroundTime; the coordination layers (traits grant margins) are far
-  // slower. Propagation is instantaneous in the model, so the shard plan
-  // classifies medium-coupled interactions as barrier-class on its own.
-  const Duration turnaround =
-      std::min({wifi::PhyTimings{}.sifs, zigbee::PhyTimings{}.turnaround,
-                core::kWifiTraits.grant_margin, core::kBleTraits.grant_margin});
-  shard_plan_ = phy::plan_shards(*medium_, config_.sim_threads, turnaround);
-  sim::ParallelDispatcher::Config dcfg;
-  dcfg.shards = config_.sim_threads;
-  dcfg.lookahead = shard_plan_->lookahead;
-  dispatcher_ =
-      std::make_unique<sim::ParallelDispatcher>(*sim_, worker_pool_.get(), dcfg);
 }
 
 void Scenario::build_topology() {
@@ -576,13 +548,7 @@ void Scenario::build_faults() {
   fault_injector_->arm();
 }
 
-void Scenario::run_for(Duration d) {
-  if (dispatcher_ != nullptr) {
-    dispatcher_->run_for(d);
-  } else {
-    sim_->run_for(d);
-  }
-}
+void Scenario::run_for(Duration d) { sim_->run_for(d); }
 
 void Scenario::start_measurement() {
   probe_.start(sim_->now());

@@ -156,7 +156,8 @@ bool parse_extra_link(const std::string& text, ExtraZigbeeSpec* out,
       ok = parse_i64(value, &i) && i > 0;
       spec.burst.payload_bytes = static_cast<std::uint32_t>(i);
     } else if (key == "interval") {
-      ok = parse_duration(value, &spec.burst.mean_interval);
+      ok = parse_duration(value, &spec.burst.mean_interval) &&
+           spec.burst.mean_interval > Duration::zero();
     } else if (key == "poisson") {
       ok = parse_bool(value, &spec.burst.poisson);
     } else if (key == "power") {
@@ -214,7 +215,6 @@ constexpr const char* kKnownKeys[] = {
     "pathloss.sigma",
     "medium.snap_floor", "medium.spatial_index",
     "medium.cell",   "medium.max_tx_power",
-    "sim.threads",
     "dense.wifi_pairs", "dense.zigbee_links",
     "dense.ble_nodes", "dense.area",
     "dense.clusters", "dense.cluster_sigma",
@@ -262,12 +262,20 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   auto bad_value = [&](const char* expected) {
     return fail(std::string("expected ") + expected + ", got '" + value + "'");
   };
+  // Periods and intervals feed timers and rates: zero or a negative value
+  // would divide by zero or abort mid-run, so it is rejected here.
+  auto positive_duration = [&](Duration* field) {
+    Duration d;
+    if (!parse_duration(value, &d) || d <= Duration::zero())
+      return bad_value("a positive duration (us/ms/s suffix)");
+    *field = d;
+    return true;
+  };
 
   std::int64_t i = 0;
   std::uint64_t u = 0;
   double f = 0.0;
   bool b = false;
-  Duration d;
 
   if (key == "seed") {
     if (!parse_u64(value, &u)) return bad_value("an unsigned integer");
@@ -290,8 +298,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
     out->cfg.wifi_payload_bytes = static_cast<std::uint32_t>(i);
   } else if (key == "wifi.cbr_interval") {
-    if (!parse_duration(value, &out->cfg.wifi_cbr_interval))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.wifi_cbr_interval)) return false;
   } else if (key == "wifi.cbr_payload") {
     if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
     out->cfg.wifi_cbr_payload_bytes = static_cast<std::uint32_t>(i);
@@ -299,8 +306,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_f64(value, &f)) return bad_value("a number");
     out->cfg.wifi_high_share = f;
   } else if (key == "wifi.priority_cycle") {
-    if (!parse_duration(value, &out->cfg.wifi_priority_cycle))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.wifi_priority_cycle)) return false;
   } else if (key == "wifi.grants_requests") {
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->cfg.wifi_grants_requests = b;
@@ -327,9 +333,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     }
     out->cfg.extra_grantors_m = std::move(dists);
   } else if (key == "election.grace") {
-    if (!parse_duration(value, &d) || d <= Duration::zero())
-      return bad_value("a positive duration (us/ms/s suffix)");
-    out->cfg.election_grace = d;
+    if (!positive_duration(&out->cfg.election_grace)) return false;
   } else if (key == "burst.packets") {
     if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
     out->cfg.burst.packets_per_burst = static_cast<int>(i);
@@ -339,9 +343,8 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     out->cfg.burst.payload_bytes = static_cast<std::uint32_t>(i);
     out->ble.burst.payload_bytes = static_cast<std::uint32_t>(i);
   } else if (key == "burst.interval") {
-    if (!parse_duration(value, &d)) return bad_value("a duration (us/ms/s suffix)");
-    out->cfg.burst.mean_interval = d;
-    out->ble.burst.mean_interval = d;
+    if (!positive_duration(&out->cfg.burst.mean_interval)) return false;
+    out->ble.burst.mean_interval = out->cfg.burst.mean_interval;
   } else if (key == "burst.poisson") {
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->cfg.burst.poisson = b;
@@ -395,8 +398,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_duration(value, &out->cfg.signaling.ignored_backoff))
       return bad_value("a duration (us/ms/s suffix)");
   } else if (key == "ecc.period") {
-    if (!parse_duration(value, &out->cfg.ecc.period))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.ecc.period)) return false;
   } else if (key == "ecc.whitespace") {
     if (!parse_duration(value, &out->cfg.ecc.whitespace))
       return bad_value("a duration (us/ms/s suffix)");
@@ -404,8 +406,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->cfg.ecc.emulation_power_dbm = f;
   } else if (key == "ecc.emulation_airtime") {
-    if (!parse_duration(value, &out->cfg.ecc.emulation_airtime))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.ecc.emulation_airtime)) return false;
   } else if (key == "mobility.person") {
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->cfg.person_mobility = b;
@@ -416,8 +417,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->cfg.device_mobility = b;
   } else if (key == "mobility.device_period") {
-    if (!parse_duration(value, &out->cfg.device_move_period))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.device_move_period)) return false;
   } else if (key == "pathloss.ref_db") {
     if (!parse_f64(value, &f)) return bad_value("a loss in dB");
     out->cfg.path_loss.pl_d0_db = f;
@@ -440,10 +440,6 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "medium.max_tx_power") {
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->cfg.medium.max_tx_power_dbm = f;
-  } else if (key == "sim.threads") {
-    if (!parse_i64(value, &i) || i < 1 || i > 256)
-      return bad_value("a thread count in [1, 256]");
-    out->cfg.sim_threads = static_cast<int>(i);
   } else if (key == "dense.wifi_pairs") {
     if (!parse_i64(value, &i) || i < 0) return bad_value("a non-negative integer");
     out->cfg.dense.wifi_pairs = static_cast<int>(i);
@@ -466,8 +462,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_u64(value, &u)) return bad_value("an unsigned integer");
     out->cfg.dense.placement_seed = u;
   } else if (key == "dense.wifi_interval") {
-    if (!parse_duration(value, &out->cfg.dense.wifi_interval))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.dense.wifi_interval)) return false;
   } else if (key == "dense.wifi_payload") {
     if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
     out->cfg.dense.wifi_payload_bytes = static_cast<std::uint32_t>(i);
@@ -531,16 +526,12 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
       return bad_value("a duty fraction in (0, 1]");
     out->cfg.lteu.duty = f;
   } else if (key == "lteu.period") {
-    if (!parse_duration(value, &d) || d <= Duration::zero())
-      return bad_value("a positive duration (us/ms/s suffix)");
-    out->cfg.lteu.period = d;
+    if (!positive_duration(&out->cfg.lteu.period)) return false;
   } else if (key == "lteu.power") {
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->cfg.lteu.tx_power_dbm = f;
   } else if (key == "tsch.hop_period") {
-    if (!parse_duration(value, &d) || d <= Duration::zero())
-      return bad_value("a positive duration (us/ms/s suffix)");
-    out->cfg.tsch_hop_period = d;
+    if (!positive_duration(&out->cfg.tsch_hop_period)) return false;
   } else {
     return fail("unknown key");  // parse() rejects these; set() can still reach here
   }

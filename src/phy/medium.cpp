@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/parallel_dispatch.hpp"
-
 namespace bicord::phy {
 
 Medium::Medium(sim::Simulator& sim, PathLossModel path_loss, MediumTuning tuning)
@@ -28,20 +26,7 @@ Medium::Medium(sim::Simulator& sim, PathLossModel path_loss, MediumTuning tuning
   }
 }
 
-void Medium::set_worker_pool(sim::WorkerPool* pool) {
-  pool_ = (pool != nullptr && pool->threads() > 1) ? pool : nullptr;
-}
-
-void Medium::check_not_absorbing(const char* what) const {
-  if (fanout_parallel_) {
-    throw std::logic_error(std::string("Medium::") + what +
-                           ": called from a parallel absorb phase — schedule "
-                           "the mutation through the event queue instead");
-  }
-}
-
 NodeId Medium::add_node(std::string name, Position pos) {
-  check_not_absorbing("add_node");
   nodes_.push_back(NodeEntry{std::move(name), pos});
   node_airtime_.push_back(Duration::zero());
   node_listeners_.emplace_back();
@@ -57,7 +42,6 @@ const Medium::NodeEntry& Medium::node(NodeId id) const {
 }
 
 void Medium::set_position(NodeId id, Position pos) {
-  check_not_absorbing("set_position");
   if (id >= nodes_.size()) throw std::out_of_range("Medium: unknown node id");
   nodes_[id].pos = pos;
   // Distances changed: every cached link loss involving any node is suspect.
@@ -114,7 +98,6 @@ const std::string& Medium::node_name(NodeId id) const { return node(id).name; }
 void Medium::attach(MediumListener* listener) { attach(listener, kInvalidNode); }
 
 void Medium::attach(MediumListener* listener, NodeId node) {
-  check_not_absorbing("attach");
   if (listener == nullptr) throw std::invalid_argument("Medium::attach: null listener");
   if (node != kInvalidNode && node >= nodes_.size()) {
     throw std::invalid_argument("Medium::attach: unknown node id");
@@ -129,7 +112,6 @@ void Medium::attach(MediumListener* listener, NodeId node) {
 }
 
 void Medium::detach(MediumListener* listener) {
-  check_not_absorbing("detach");
   const auto scrub = [listener](std::vector<ListenerRef>& v) {
     v.erase(std::remove_if(v.begin(), v.end(),
                            [listener](const ListenerRef& r) {
@@ -173,60 +155,6 @@ void Medium::detach(MediumListener* listener) {
                                     return s.listener == listener;
                                   }),
                    listeners_.end());
-}
-
-void Medium::notify_phased_below(std::uint64_t watermark,
-                                 const ActiveTransmission& tx, bool start) {
-  ++notify_depth_;
-  const std::size_t n = listeners_.size();
-  fanout_parallel_ = true;
-  pool_->parallel_for(n, [&](std::size_t i) {
-    const ListenerSlot& s = listeners_[i];
-    if (s.listener == nullptr || s.seq >= watermark) return;
-    if (start) {
-      s.listener->on_tx_start_absorb(tx);
-    } else {
-      s.listener->on_tx_end_absorb(tx);
-    }
-  });
-  fanout_parallel_ = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const ListenerSlot& s = listeners_[i];
-    if (s.listener == nullptr || s.seq >= watermark) continue;
-    if (start) {
-      s.listener->on_tx_start_react(tx);
-    } else {
-      s.listener->on_tx_end_react(tx);
-    }
-  }
-  if (--notify_depth_ == 0 && listeners_dirty_) compact_listeners();
-}
-
-void Medium::notify_phased_audience(const std::vector<ListenerRef>& audience,
-                                    const ActiveTransmission& tx, bool start) {
-  ++notify_depth_;
-  const std::size_t n = audience.size();
-  fanout_parallel_ = true;
-  pool_->parallel_for(n, [&](std::size_t i) {
-    MediumListener* l = audience[i].listener;
-    if (l == nullptr) return;
-    if (start) {
-      l->on_tx_start_absorb(tx);
-    } else {
-      l->on_tx_end_absorb(tx);
-    }
-  });
-  fanout_parallel_ = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    MediumListener* l = audience[i].listener;
-    if (l == nullptr) continue;
-    if (start) {
-      l->on_tx_start_react(tx);
-    } else {
-      l->on_tx_end_react(tx);
-    }
-  }
-  if (--notify_depth_ == 0 && listeners_dirty_) compact_listeners();
 }
 
 void Medium::compact_listeners() {
@@ -296,7 +224,6 @@ bool Medium::audible(const ActiveTransmission& tx, NodeId dst) const {
 
 TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
                       Duration duration) {
-  check_not_absorbing("begin_tx");
   if (frame.src >= nodes_.size()) {
     throw std::invalid_argument("Medium::begin_tx: frame.src is not a registered node");
   }
@@ -339,12 +266,7 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
   node_airtime_[frame.src] += duration;
 
   if (index_ == nullptr) {
-    if (pool_ != nullptr) {
-      notify_phased_below(std::numeric_limits<std::uint64_t>::max(), tx,
-                          /*start=*/true);
-    } else {
-      notify([&tx](MediumListener* l) { l->on_tx_start(tx); });
-    }
+    notify([&tx](MediumListener* l) { l->on_tx_start(tx); });
   } else {
     // Snapshot before callbacks run: nested begin_tx may grow tx_aux_.
     const CellCoord cell = tx_aux_.back().start_cell;
@@ -361,11 +283,7 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
     std::vector<ListenerRef> snap = acquire_aux_audience();
     snap.assign(audience.begin(), audience.end());
     tx_aux_.back().audience = std::move(snap);
-    if (pool_ != nullptr) {
-      notify_phased_audience(audience, tx, /*start=*/true);
-    } else {
-      notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_start(tx); });
-    }
+    notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_start(tx); });
     release_audience();
   }
 
@@ -389,11 +307,7 @@ void Medium::finish_tx(TxId id) {
   if (index_ == nullptr) {
     // The watermark fence means a listener attached mid-flight never sees an
     // end edge without its start — exactly what the indexed path delivers.
-    if (pool_ != nullptr) {
-      notify_phased_below(aux.watermark, tx, /*start=*/false);
-    } else {
-      notify_below(aux.watermark, [&tx](MediumListener* l) { l->on_tx_end(tx); });
-    }
+    notify_below(aux.watermark, [&tx](MediumListener* l) { l->on_tx_end(tx); });
     return;
   }
   // Replay the saved start audience instead of re-walking the grid window:
@@ -411,11 +325,7 @@ void Medium::finish_tx(TxId id) {
                                 }),
                  audience.end());
   finalize_audience(audience);
-  if (pool_ != nullptr) {
-    notify_phased_audience(audience, tx, /*start=*/false);
-  } else {
-    notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_end(tx); });
-  }
+  notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_end(tx); });
   release_audience();
   release_aux_audience(std::move(aux.audience));
 }
@@ -444,28 +354,11 @@ std::uint64_t band_bits(Band b) {
 }
 }  // namespace
 
-double Medium::compute_link_loss_db(NodeId src, Band tx_band, NodeId dst,
-                                    Band rx_band) const {
-  const double d = distance(node(src).pos, node(dst).pos);
-  // Link key is direction-independent so A->B and B->A shadow identically.
-  const std::uint64_t lo = std::min(src, dst);
-  const std::uint64_t hi = std::max(src, dst);
-  const std::uint64_t link_key = (lo << 32) | hi;
-  return path_loss_.mean_loss_db(d) + path_loss_.shadowing_db(link_key) +
-         overlap_loss_db(tx_band, rx_band);
-}
-
 double Medium::link_loss_db(NodeId src, Band tx_band, NodeId dst, Band rx_band) const {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
     // throws for the unknown node (and dst below if src is fine)
     static_cast<void>(node(src));
     static_cast<void>(node(dst));
-  }
-  if (fanout_parallel_) {
-    // Parallel absorb phase: several listeners may probe links concurrently.
-    // The cache memoizes a pure function, so bypassing it entirely keeps the
-    // phase write-free (and race-free) while producing the identical double.
-    return compute_link_loss_db(src, tx_band, dst, rx_band);
   }
   if (loss_cache_.empty()) loss_cache_.resize(kLossCacheSlots);
   const std::uint64_t h =
@@ -474,7 +367,13 @@ double Medium::link_loss_db(NodeId src, Band tx_band, NodeId dst, Band rx_band) 
   const std::uint64_t tag = h | 1;  // low bit set: 0 stays the empty marker
   LossCacheEntry& e = loss_cache_[(h >> 1) & (kLossCacheSlots - 1)];
   if (e.tag == tag) return e.loss_db;
-  const double loss = compute_link_loss_db(src, tx_band, dst, rx_band);
+  const double d = distance(node(src).pos, node(dst).pos);
+  // Link key is direction-independent so A->B and B->A shadow identically.
+  const std::uint64_t lo = std::min(src, dst);
+  const std::uint64_t hi = std::max(src, dst);
+  const std::uint64_t link_key = (lo << 32) | hi;
+  const double loss = path_loss_.mean_loss_db(d) + path_loss_.shadowing_db(link_key) +
+                      overlap_loss_db(tx_band, rx_band);
   e = LossCacheEntry{tag, loss};
   return loss;
 }
@@ -499,9 +398,6 @@ double Medium::noise_floor_mw(Band band) const {
 }
 
 double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
-  // Shared scratch + memo writes make this serial-only; radios answer their
-  // MACs' CCA reads from their own running sums instead.
-  check_not_absorbing("energy_dbm");
   double acc_mw = noise_floor_mw(rx_band);
   if (active_.empty()) return mw_to_dbm(acc_mw);
   const Position rx_pos = node(rx).pos;

@@ -33,10 +33,6 @@
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
 
-namespace bicord::sim {
-class WorkerPool;
-}
-
 namespace bicord::phy {
 
 using TxId = std::uint64_t;
@@ -92,22 +88,6 @@ class MediumListener {
   /// (batched RSSI capture) need this to stay exact under device mobility.
   virtual void on_position_change(NodeId node) { (void)node; }
 
-  // --- phased delivery (worker pool attached; DESIGN.md Sec. 14) -----------
-  //
-  // With a sim::WorkerPool on the medium, each tx edge fans out in two
-  // phases: a parallel *absorb* phase where a listener may update only its
-  // own state (plus pure, write-free medium reads — the loss cache is
-  // bypassed), then a serial *react* phase in attach order for everything
-  // externally visible: state-machine transitions, MAC callbacks, shared-RNG
-  // draws, logging. The defaults keep non-radio listeners (tracers, RSSI
-  // samplers) entirely serial: absorb is a no-op and react runs the legacy
-  // single-phase hook, so the split is opt-in per listener and the serial
-  // path is byte-for-byte unaffected.
-  virtual void on_tx_start_absorb(const ActiveTransmission& tx) { (void)tx; }
-  virtual void on_tx_start_react(const ActiveTransmission& tx) { on_tx_start(tx); }
-  virtual void on_tx_end_absorb(const ActiveTransmission& tx) { (void)tx; }
-  virtual void on_tx_end_react(const ActiveTransmission& tx) { on_tx_end(tx); }
-
  protected:
   ~MediumListener() = default;
 };
@@ -161,14 +141,6 @@ class Medium {
   /// Installs (or clears, with nullptr) the fault-injection hook. At most one
   /// interceptor is active; it is consulted once per begin_tx.
   void set_tx_interceptor(TxInterceptor* interceptor) { interceptor_ = interceptor; }
-
-  /// Attaches a worker pool (not owned; may be nullptr to restore the serial
-  /// path): tx edges switch to the phased absorb/react fan-out, with the
-  /// absorb phase parallel across the audience. Output stays bitwise
-  /// identical to the serial path (the golden suite pins it). A pool with
-  /// one thread is treated as no pool.
-  void set_worker_pool(sim::WorkerPool* pool);
-  [[nodiscard]] sim::WorkerPool* worker_pool() const { return pool_; }
 
   // --- transmission --------------------------------------------------------
 
@@ -318,17 +290,6 @@ class Medium {
     if (--notify_depth_ == 0 && listeners_dirty_) compact_listeners();
   }
 
-  /// Phased tx-edge fan-out (worker pool attached): parallel absorb over the
-  /// audience, then serial react in attach order. `start` picks the
-  /// start/end listener hooks; `watermark` fences like notify_below.
-  void notify_phased_below(std::uint64_t watermark, const ActiveTransmission& tx,
-                           bool start);
-  void notify_phased_audience(const std::vector<ListenerRef>& audience,
-                              const ActiveTransmission& tx, bool start);
-  /// Throws when called during the parallel absorb phase: structural
-  /// mutation must be scheduled through the event queue instead.
-  void check_not_absorbing(const char* what) const;
-
   void compact_listeners();
   /// Audience buffers are pooled per notification depth so nested events
   /// (a callback that transmits) get their own scratch without allocating
@@ -361,13 +322,8 @@ class Medium {
   /// and the structure allocation-free after construction. The cached value
   /// is the same double the direct computation produces — energy readings
   /// stay bitwise identical — and the cache is flushed whenever a node moves.
-  /// During a parallel absorb phase the cache is bypassed entirely (pure
-  /// recomputation), keeping the phase write-free and race-free.
   [[nodiscard]] double link_loss_db(NodeId src, Band tx_band, NodeId dst,
                                     Band rx_band) const;
-  /// The uncached computation behind link_loss_db — bitwise identical.
-  [[nodiscard]] double compute_link_loss_db(NodeId src, Band tx_band, NodeId dst,
-                                            Band rx_band) const;
 
   /// Linear noise-floor memo (a run uses a handful of bands) — energy_dbm
   /// pays a band compare instead of a log10 + pow per query.
@@ -408,11 +364,6 @@ class Medium {
   std::int64_t max_ring_ = 0;
   int notify_depth_ = 0;
   bool listeners_dirty_ = false;
-  /// Phased fan-out state: the pool (null = legacy serial path) and a flag
-  /// raised only while the parallel absorb phase is in flight — it gates the
-  /// loss-cache bypass and the structural-mutation guards.
-  sim::WorkerPool* pool_ = nullptr;
-  bool fanout_parallel_ = false;
   TxInterceptor* interceptor_ = nullptr;
   /// Airtime accumulators are dense (small enum / dense node ids): begin_tx
   /// bumps two of them per transmission, so no hashing on that path.

@@ -17,8 +17,8 @@ std::string MetricSummary::to_string(int precision) const {
 std::string RunReport::to_string() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
-                "%zu trials in %.2f s (%.1f trials/s, jobs=%d, speedup %.1fx)",
-                trials, wall_seconds, trials_per_second(), jobs, speedup());
+                "%zu trials in %.2f s (%.1f trials/s, jobs=%d)", trials,
+                wall_seconds, trials_per_second(), jobs);
   return buf;
 }
 
@@ -42,20 +42,16 @@ std::vector<MetricSummary> ParallelExperimentRunner::run(int trials) {
   const int jobs = std::min(resolve_jobs(jobs_), trials);
 
   std::vector<std::vector<double>> results(n);
-  std::mutex accounting_mutex;  // guards done/trial_seconds/progress_
+  std::mutex progress_mutex;  // guards done/progress_
   std::size_t done = 0;
-  double trial_seconds = 0.0;
 
-  // Wall-clock reads below feed only the human-facing RunReport (throughput,
-  // speedup); no simulation state depends on them, so the determinism rule is
-  // waived explicitly rather than baselined.
+  // Wall-clock reads below feed only the human-facing RunReport
+  // (throughput); no simulation state depends on them, so the determinism
+  // rule is waived explicitly rather than baselined.
   const auto wall_start = std::chrono::steady_clock::now();  // bicord-lint: allow(wall-clock)
   TrialPool pool(jobs);
   pool.run(n, [&](std::size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();  // bicord-lint: allow(wall-clock)
     std::vector<double> values = trial_(i);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;  // bicord-lint: allow(wall-clock)
     if (values.size() != names_.size()) {
       throw std::logic_error(
           "ParallelExperimentRunner: trial returned " +
@@ -63,15 +59,14 @@ std::vector<MetricSummary> ParallelExperimentRunner::run(int trials) {
           std::to_string(names_.size()) + " metrics");
     }
     results[i] = std::move(values);
-    const std::lock_guard lock(accounting_mutex);
-    trial_seconds += elapsed.count();
+    const std::lock_guard lock(progress_mutex);
     ++done;
     if (progress_) progress_(done, n);
   });
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;  // bicord-lint: allow(wall-clock)
 
-  report_ = RunReport{n, jobs, wall.count(), trial_seconds};
+  report_ = RunReport{n, jobs, wall.count()};
 
   // Seed-ordered merge: identical add() sequence per metric as a serial
   // loop over trials, hence bitwise-identical Welford state.

@@ -41,21 +41,17 @@ struct MetricSummary {
 
 /// Wall-clock accounting for one run(): enough for benches to report
 /// throughput on long sweeps. Timing is observational only — it never
-/// feeds into the metric aggregation.
+/// feeds into the metric aggregation and differs run to run, so it is kept
+/// off the deterministic output (bicordsim prints it on stderr).
 struct RunReport {
   std::size_t trials = 0;
   int jobs = 1;
   double wall_seconds = 0.0;
-  double trial_seconds = 0.0;  ///< summed per-trial wall time
 
   [[nodiscard]] double trials_per_second() const {
     return wall_seconds > 0.0 ? static_cast<double>(trials) / wall_seconds : 0.0;
   }
-  /// Ratio of summed trial time to wall time (~effective parallelism).
-  [[nodiscard]] double speedup() const {
-    return wall_seconds > 0.0 ? trial_seconds / wall_seconds : 0.0;
-  }
-  /// e.g. "20 trials in 3.41 s (5.9 trials/s, jobs=4, speedup 3.8x)"
+  /// e.g. "20 trials in 3.41 s (5.9 trials/s, jobs=4)"
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -28,12 +28,6 @@ namespace bicord::runner {
 /// (minimum 1).
 [[nodiscard]] int resolve_jobs(int requested = 0);
 
-/// resolve_jobs() composed with intra-trial parallelism: when every trial
-/// spawns `threads_per_trial` workers of its own (sim.threads), the trial
-/// fan-out must divide the shared core budget instead of multiplying it.
-/// Returns max(1, resolve_jobs(requested) / threads_per_trial).
-[[nodiscard]] int resolve_jobs_budgeted(int requested, int threads_per_trial);
-
 class TrialPool {
  public:
   /// `jobs <= 0` resolves via resolve_jobs(). With jobs == 1 the pool runs

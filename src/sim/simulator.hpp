@@ -56,7 +56,7 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t dispatched_events() const { return dispatched_; }
   /// Time of the earliest pending event, or TimePoint::max() when idle
-  /// (ParallelDispatcher uses this to place window barriers).
+  /// (lets a driver that calls step() itself stop at a deadline).
   [[nodiscard]] TimePoint next_event_time() const {
     return queue_.empty() ? TimePoint::max() : queue_.next_time();
   }

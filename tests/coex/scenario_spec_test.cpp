@@ -224,15 +224,26 @@ TEST(ScenarioSpecTest, GrantorsRejectsZeroAndDuplicates) {
   }
 }
 
-TEST(ScenarioSpecTest, ElectionGraceMustBePositive) {
+TEST(ScenarioSpecTest, DurationKeysMustBePositive) {
+  // Each key feeds a timer or a rate: zero or a negative value must fail
+  // config() naming the key, not abort or divide by zero mid-run.
   std::string error;
-  for (const char* bad : {"election.grace = 0ms\n", "election.grace = -5ms\n",
-                          "election.grace = soon\n"}) {
-    auto spec = ScenarioSpec::parse(bad, &error);
-    ASSERT_TRUE(spec.has_value()) << bad;
-    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
-    EXPECT_NE(error.find("election.grace"), std::string::npos) << error;
+  for (const char* key :
+       {"election.grace", "burst.interval", "ecc.period", "ecc.emulation_airtime",
+        "mobility.device_period", "wifi.cbr_interval", "dense.wifi_interval",
+        "wifi.priority_cycle", "lteu.period", "tsch.hop_period"}) {
+    for (const char* value : {"0us", "-5ms", "soon"}) {
+      const std::string text = std::string(key) + " = " + value + "\n";
+      auto spec = ScenarioSpec::parse(text, &error);
+      ASSERT_TRUE(spec.has_value()) << text;
+      EXPECT_FALSE(spec->config(&error).has_value()) << text;
+      EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
   }
+  auto spec = ScenarioSpec::parse("extra.link = loc=C interval=0us\n", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_FALSE(spec->config(&error).has_value());
+  EXPECT_NE(error.find("interval"), std::string::npos) << error;
 }
 
 TEST(ScenarioSpecTest, ClockSkewPpmLowersToFaultEventAndValidatesRange) {

@@ -132,7 +132,6 @@ TEST(DeterminismTest, ReportCountsTrialsAndJobs) {
   EXPECT_EQ(report.trials, 4u);
   EXPECT_EQ(report.jobs, 2);
   EXPECT_GT(report.wall_seconds, 0.0);
-  EXPECT_GE(report.trial_seconds, 0.0);
   EXPECT_EQ(progress_calls, 4u);
   EXPECT_NE(report.to_string().find("trials"), std::string::npos);
 }

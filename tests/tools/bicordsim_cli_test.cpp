@@ -1,7 +1,8 @@
-// Exit-code contract of the bicordsim CLI: a run whose invariant checker
-// records violations must exit 1 so scripted sweeps (scripts/check.sh,
-// EXPERIMENTS.md recipes) fail loudly, and a clean multigrantor run must
-// exit 0 while still printing the election report block.
+// Exit-code and output contract of the bicordsim CLI: a run whose invariant
+// checker records violations must exit 1 so scripted sweeps
+// (scripts/check.sh, EXPERIMENTS.md recipes) fail loudly, a clean
+// multigrantor run must exit 0 while still printing the election report
+// block, bad input exits 2, and stdout carries only deterministic output.
 //
 // The binary path is injected by CMake via BICORD_SIM_BIN.
 
@@ -24,11 +25,15 @@ struct Result {
   std::string output;
 };
 
-Result run_sim(const std::string& args) {
+/// Runs bicordsim, capturing stdout and stderr, or stdout alone. Each test
+/// gets its own capture file, so parallel test runs never share one.
+Result run_sim(const std::string& args, bool stdout_only = false) {
   const fs::path out_file =
-      fs::path(::testing::TempDir()) / "bicordsim_cli_out.txt";
+      fs::path(::testing::TempDir()) /
+      (std::string("bicordsim_cli_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt");
   const std::string cmd = std::string(BICORD_SIM_BIN) + " " + args + " > " +
-                          out_file.string() + " 2>&1";
+                          out_file.string() + (stdout_only ? " 2>/dev/null" : " 2>&1");
   const int raw = std::system(cmd.c_str());
   Result r;
   r.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
@@ -62,6 +67,23 @@ TEST(BicordsimCliTest, InvariantViolationsGateTheExitCode) {
 TEST(BicordsimCliTest, UnknownPresetExitsWithUsageError) {
   const Result r = run_sim("--scenario no-such-preset --seconds 1");
   EXPECT_EQ(r.exit_code, 2) << r.output;
+}
+
+TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
+  const Result r = run_sim(
+      "--wifi-traffic priority --set wifi.priority_cycle=0us --seconds 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("wifi.priority_cycle"), std::string::npos) << r.output;
+}
+
+TEST(BicordsimCliTest, RepeatStdoutIsByteIdenticalAcrossRuns) {
+  // Wall time and throughput differ run to run, so they stay off stdout.
+  const std::string args = "--scenario fig10 --repeat 2 --seconds 1 --jobs 2";
+  const Result a = run_sim(args, /*stdout_only=*/true);
+  const Result b = run_sim(args, /*stdout_only=*/true);
+  ASSERT_EQ(a.exit_code, 0) << a.output;
+  ASSERT_EQ(b.exit_code, 0) << b.output;
+  EXPECT_EQ(a.output, b.output);
 }
 
 }  // namespace

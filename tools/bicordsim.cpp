@@ -126,9 +126,6 @@ int main(int argc, char** argv) {
                 "independent repetitions (> 1 reports mean +/- 95% CI over "
                 "per-trial seed streams instead of one run's numbers)");
   add_jobs_flag(flags);
-  flags.add_int("sim-threads", 1,
-                "shard-parallel event dispatch inside one simulation "
-                "(1 = serial; output stays bit-identical to serial)");
   flags.add_bool("progress", false, "print per-trial progress to stderr");
   flags.add_string("trace-file", "", "write a JSONL transmission trace to this path");
   flags.add_bool("timeline", false, "print an ASCII timeline of the final 300 ms");
@@ -209,9 +206,6 @@ int main(int argc, char** argv) {
   if (overriding("device-mobility")) {
     spec.set("mobility.device", flags.get_bool("device-mobility"));
   }
-  if (overriding("sim-threads")) {
-    spec.set("sim.threads", static_cast<int>(flags.get_int("sim-threads")));
-  }
   if (flags.provided("set")) {
     const std::string& kv = flags.get_string("set");
     const auto eq = kv.find('=');
@@ -280,8 +274,9 @@ int main(int argc, char** argv) {
       table.add_row({s.name, AsciiTable::cell(s.stats.mean(), 4),
                      AsciiTable::cell(s.ci95(), 4)});
     }
-    std::printf("%s\n%s\n", table.render().c_str(),
-                runner.last_report().to_string().c_str());
+    std::printf("%s", table.render().c_str());
+    // Wall-clock throughput differs run to run; stderr keeps stdout diffable.
+    std::fprintf(stderr, "%s\n", runner.last_report().to_string().c_str());
     return 0;
   }
 
@@ -309,24 +304,6 @@ int main(int argc, char** argv) {
   scenario.start_measurement();
   scenario.run_for(Duration::from_sec(flags.get_int("seconds")));
   if (checker != nullptr) checker->finish(scenario.fault_injector());
-
-  // The parallel-dispatch report goes to stderr so stdout stays byte-identical
-  // across sim.threads settings (the determinism gate diffs stdout).
-  if (const auto* dispatcher = scenario.dispatcher()) {
-    const auto st = dispatcher->stats();
-    const auto* plan = scenario.shard_plan();
-    std::fprintf(stderr,
-                 "[parallel] sim.threads=%d shards=%d lookahead=%lldus "
-                 "cross-shard-pairs=%zu windows=%llu sharded=%llu "
-                 "barrier=%llu deferred=%llu\n",
-                 scenario.sim_threads(), plan != nullptr ? plan->shards : 0,
-                 static_cast<long long>(plan != nullptr ? plan->lookahead.us() : 0),
-                 plan != nullptr ? plan->cross_shard_pairs : std::size_t{0},
-                 static_cast<unsigned long long>(st.windows),
-                 static_cast<unsigned long long>(st.sharded_events),
-                 static_cast<unsigned long long>(st.barrier_events),
-                 static_cast<unsigned long long>(st.deferred_events));
-  }
 
   const auto util = scenario.utilization();
   const auto& zb = scenario.zigbee_stats();
