@@ -2,7 +2,8 @@
 # Full correctness gate: plain build + tests, then the runner tests under
 # ThreadSanitizer (data races in the trial executor), then the whole suite
 # under ASan+UBSan. Each sanitizer gets its own build directory so the
-# builds never contaminate each other.
+# builds never contaminate each other. The plain build is configured with
+# -DBICORD_WERROR=ON, so a new compiler warning fails the gate.
 #
 # Usage:  scripts/check.sh [fast|lint|lint-fast|chaos|bench|examples|dense|failover|techs]
 #   default — plain + lint (clang-tidy + bicord_lint) + dense smoke +
@@ -61,7 +62,7 @@ fi
 if [ "$MODE" = "examples" ]; then
   EXAMPLES=(quickstart smart_home industrial_monitoring signaling_demo)
   echo "== examples smoke: build + run ${EXAMPLES[*]} =="
-  cmake -B build -S . > /dev/null
+  cmake -B build -S . -DBICORD_WERROR=ON > /dev/null
   cmake --build build -j "$JOBS" --target "${EXAMPLES[@]}"
   for ex in "${EXAMPLES[@]}"; do
     echo
@@ -100,7 +101,7 @@ dense_smoke() {
 
 if [ "$MODE" = "dense" ]; then
   echo "== dense smoke: spatial index vs brute force =="
-  cmake -B build -S . > /dev/null
+  cmake -B build -S . -DBICORD_WERROR=ON > /dev/null
   cmake --build build -j "$JOBS" --target bicordsim phy_tests
   dense_smoke
   exit 0
@@ -188,7 +189,7 @@ if [ "$MODE" = "chaos" ]; then
 fi
 
 echo "== plain build + tests =="
-cmake -B build -S . > /dev/null
+cmake -B build -S . -DBICORD_WERROR=ON > /dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

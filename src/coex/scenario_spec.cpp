@@ -40,11 +40,13 @@ bool parse_u64(const std::string& s, std::uint64_t* out) {
   return true;
 }
 
+/// Finite numbers only: strtod also accepts "nan" and "inf", which no key
+/// means (a NaN snap floor, for one, silently disables every audibility test).
 bool parse_f64(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -434,8 +436,9 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->cfg.medium.spatial_index = b;
   } else if (key == "medium.cell") {
-    if (!parse_f64(value, &f) || f < 0.0)
-      return bad_value("a cell size in metres (0 = derive)");
+    // Sub-metre cells make every grid window millions of cells wide.
+    if (!parse_f64(value, &f) || (f != 0.0 && f < 1.0))
+      return bad_value("a cell size of at least 1 metre (0 = derive)");
     out->cfg.medium.cell_size_m = f;
   } else if (key == "medium.max_tx_power") {
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");

@@ -64,7 +64,7 @@ struct FaultEvent {
   /// Activation time (absolute simulation time).
   TimePoint at;
   /// Active window for windowed kinds (FrameCorrupt, CsiDropout, ...).
-  Duration window;
+  Duration window{};
   /// Budget for counted kinds (CtsLoss, ControlDeaf, PauseEndLoss).
   int count = 1;
   /// Per-frame probability for FrameCorrupt.
@@ -76,7 +76,7 @@ struct FaultEvent {
   phy::Technology tech = phy::Technology::ZigBee;
   /// BurstShift parameters.
   int burst_packets = 0;
-  Duration burst_interval;
+  Duration burst_interval{};
   /// Node index for NodeLeave / NodeJoin (0 = primary burst source, 1+ =
   /// extra ZigBee senders in scenario order).
   int link = 0;

@@ -32,7 +32,10 @@ NodeId Medium::add_node(std::string name, Position pos) {
   node_listeners_.emplace_back();
   node_active_tx_.emplace_back();
   const auto id = static_cast<NodeId>(nodes_.size() - 1);
-  if (index_ != nullptr) index_->add_node(id, pos);
+  if (index_ != nullptr) {
+    index_->add_node(id, pos);
+    audience_cache_.emplace_back();
+  }
   return id;
 }
 
@@ -43,6 +46,7 @@ const Medium::NodeEntry& Medium::node(NodeId id) const {
 
 void Medium::set_position(NodeId id, Position pos) {
   if (id >= nodes_.size()) throw std::out_of_range("Medium: unknown node id");
+  const Position old_pos = nodes_[id].pos;
   nodes_[id].pos = pos;
   // Distances changed: every cached link loss involving any node is suspect.
   // Moves are rare (mobility period >> sample period), so a full flush is
@@ -53,38 +57,45 @@ void Medium::set_position(NodeId id, Position pos) {
     return;
   }
   const CellCoord old_cell = index_->cell_of_node(id);
-  if (index_->move_node(id, pos)) {
-    // The mover's bound listeners may have left the start window of active
-    // transmissions they tracked: pin them so end edges still reach them.
-    // Over-pinning is harmless — end audiences dedupe and watermark-filter.
-    if (!node_listeners_[id].empty()) {
-      for (auto& aux : tx_aux_) {
-        aux.pinned.insert(aux.pinned.end(), node_listeners_[id].begin(),
-                          node_listeners_[id].end());
-      }
-    }
-    // Transmissions sourced at the mover carry their audible footprint with
-    // them. Listeners near the *old* cell are already in the start-audience
-    // snapshot; pin everyone reachable from the new cell so observers the
-    // transmission just became audible to get its end edge too.
-    const CellCoord new_cell = index_->cell_of_node(id);
-    for (const TxId t : node_active_tx_[id]) {
-      for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (active_[i].id != t) continue;
-        gather_window_listeners(new_cell, tx_aux_[i].ring, tx_aux_[i].pinned);
-        tx_aux_[i].start_cell = new_cell;
-        break;
-      }
+  index_->move_node(id, pos);
+  const CellCoord new_cell = index_->cell_of_node(id);
+  for (AudienceEntry& e : audience_cache_[id]) e.epoch = kStaleEpoch;
+  // Start audiences are exact, so a listener that comes into range of an
+  // active transmission mid-flight is in no saved audience: pin it for the
+  // end edge. That holds for any move, even one inside a single grid cell.
+  // A moving source carries its footprint: pin every listener now in range
+  // of its new position. Over-pinning is harmless — end audiences dedupe
+  // and watermark-filter.
+  const std::vector<ListenerRef>& mover_refs = node_listeners_[id];
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    const NodeId src = active_[i].frame.src;
+    TxAux& aux = tx_aux_[i];
+    if (src == id) {
+      gather_audible_listeners(pos, new_cell, aux.ring, aux.radius2, aux.pinned);
+    } else if (!mover_refs.empty() && audible_at(aux.radius2, nodes_[src].pos, pos)) {
+      aux.pinned.insert(aux.pinned.end(), mover_refs.begin(), mover_refs.end());
     }
   }
   // Only links sourced at the mover change readings, so every listener whose
   // observations can shift sits within the maximum ring of the mover's old
   // or new cell (including the mover's own listeners). Globals always hear.
-  const CellCoord new_cell = index_->cell_of_node(id);
+  // The same windows hold every source whose cached audience the mover's
+  // listeners can enter or leave (every entry's ring is <= max_ring_), so
+  // the walk also marks stale the entries whose radius the mover crossed.
   auto& audience = acquire_audience();
   audience.clear();
-  gather_window_listeners(old_cell, max_ring_, audience);
-  if (!(new_cell == old_cell)) gather_window_listeners(new_cell, max_ring_, audience);
+  const auto visit = [&](NodeId n) {
+    const std::vector<ListenerRef>& refs = node_listeners_[n];
+    audience.insert(audience.end(), refs.begin(), refs.end());
+    if (mover_refs.empty() || n == id) return;
+    const Position src_pos = nodes_[n].pos;
+    for (AudienceEntry& e : audience_cache_[n]) {
+      const bool was_in = audible_at(e.radius2, src_pos, old_pos);
+      if (was_in != audible_at(e.radius2, src_pos, pos)) e.epoch = kStaleEpoch;
+    }
+  };
+  index_->for_each_in_window(old_cell, max_ring_, visit);
+  if (!(new_cell == old_cell)) index_->for_each_in_window(new_cell, max_ring_, visit);
   audience.insert(audience.end(), global_listeners_.begin(), global_listeners_.end());
   finalize_audience(audience);
   notify_audience(audience, [id](MediumListener* l) { l->on_position_change(id); });
@@ -103,6 +114,7 @@ void Medium::attach(MediumListener* listener, NodeId node) {
     throw std::invalid_argument("Medium::attach: unknown node id");
   }
   const std::uint64_t seq = next_listener_seq_++;
+  ++audience_epoch_;
   listeners_.push_back(ListenerSlot{listener, seq, node});
   if (node == kInvalidNode) {
     global_listeners_.push_back(ListenerRef{listener, seq});
@@ -121,6 +133,7 @@ void Medium::detach(MediumListener* listener) {
   };
   // Side structures are only read while audiences are being built (never
   // while user code runs), so direct erasure is safe even mid-notification.
+  ++audience_epoch_;
   for (const ListenerSlot& s : listeners_) {
     if (s.listener != listener) continue;
     if (s.bound == kInvalidNode) {
@@ -173,12 +186,38 @@ std::vector<Medium::ListenerRef>& Medium::acquire_audience() {
   return *audience_pool_[audience_depth_++];
 }
 
-void Medium::gather_window_listeners(CellCoord center, std::int64_t ring,
-                                     std::vector<ListenerRef>& out) const {
-  index_->for_each_in_window(center, ring, [this, &out](NodeId n) {
+void Medium::gather_audible_listeners(Position src_pos, CellCoord center,
+                                      std::int64_t ring, double radius2,
+                                      std::vector<ListenerRef>& out) const {
+  index_->for_each_in_window(center, ring, [&](NodeId n) {
     const auto& refs = node_listeners_[n];
+    if (refs.empty() || !audible_at(radius2, src_pos, nodes_[n].pos)) return;
     out.insert(out.end(), refs.begin(), refs.end());
   });
+}
+
+const std::vector<Medium::ListenerRef>& Medium::start_audience(NodeId src,
+                                                               double tx_power_dbm,
+                                                               double radius2,
+                                                               std::int64_t ring) {
+  std::vector<AudienceEntry>& entries = audience_cache_[src];
+  auto it = std::find_if(entries.begin(), entries.end(),
+                         [tx_power_dbm](const AudienceEntry& e) {
+                           return e.power_dbm == tx_power_dbm;
+                         });
+  if (it == entries.end()) {
+    entries.push_back(AudienceEntry{tx_power_dbm, radius2, kStaleEpoch, {}});
+    it = entries.end() - 1;
+  }
+  if (it->epoch != audience_epoch_) {
+    it->refs.clear();
+    gather_audible_listeners(nodes_[src].pos, index_->cell_of_node(src), ring, radius2,
+                             it->refs);
+    it->refs.insert(it->refs.end(), global_listeners_.begin(), global_listeners_.end());
+    finalize_audience(it->refs);
+    it->epoch = audience_epoch_;
+  }
+  return it->refs;
 }
 
 void Medium::finalize_audience(std::vector<ListenerRef>& audience) {
@@ -213,8 +252,11 @@ double Medium::interference_radius_m(double tx_power_dbm) const {
       tx_power_dbm + margin_db - path_loss_.pl_d0_db - tuning_.snap_floor_dbm;
   // 5% slack (~0.2 dB at exponent 3) keeps the cut strictly conservative
   // against FP rounding in mean_loss_db; band-overlap attenuation (>= 0) is
-  // conservatively ignored. Overflowing pow lands on +inf = never cull.
-  return 1.05 * std::pow(10.0, excess_db / (10.0 * path_loss_.exponent));
+  // conservatively ignored. Overflowing pow lands on +inf = never cull, and
+  // so does a NaN parameter: a NaN radius would fail every distance test,
+  // the sender's own (distance 0) included.
+  const double r = 1.05 * std::pow(10.0, excess_db / (10.0 * path_loss_.exponent));
+  return std::isnan(r) ? std::numeric_limits<double>::infinity() : r;
 }
 
 bool Medium::audible(const ActiveTransmission& tx, NodeId dst) const {
@@ -229,6 +271,9 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
   }
   if (duration <= Duration::zero()) {
     throw std::invalid_argument("Medium::begin_tx: non-positive duration");
+  }
+  if (std::isnan(tx_power_dbm)) {
+    throw std::invalid_argument("Medium::begin_tx: NaN tx power");
   }
   ActiveTransmission tx;
   tx.id = next_tx_id_++;
@@ -254,10 +299,11 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
   aux.radius2 = re.radius2;
   aux.watermark = next_listener_seq_;
   if (index_ != nullptr) {
-    aux.start_cell = index_->cell_of_node(frame.src);
     aux.ring = index_->ring_for(re.radius_m);
     if (aux.ring > max_ring_) max_ring_ = aux.ring;
   }
+  const double radius2 = aux.radius2;
+  const std::int64_t ring = aux.ring;
   active_.push_back(tx);
   tx_aux_.push_back(std::move(aux));
   node_active_tx_[frame.src].push_back(tx.id);
@@ -268,20 +314,17 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
   if (index_ == nullptr) {
     notify([&tx](MediumListener* l) { l->on_tx_start(tx); });
   } else {
-    // Snapshot before callbacks run: nested begin_tx may grow tx_aux_.
-    const CellCoord cell = tx_aux_.back().start_cell;
-    const std::int64_t ring = tx_aux_.back().ring;
+    // Copy the cached audience twice before callbacks run: once to notify
+    // (detach null-marks pooled buffers), once as the snapshot the end edge
+    // replays (every ref has seq < watermark). A callback may detach, which
+    // scrubs saved audiences, or transmit, which may reallocate tx_aux_ and
+    // rebuild cache entries.
+    const std::vector<ListenerRef>& cached =
+        start_audience(frame.src, tx_power_dbm, radius2, ring);
     auto& audience = acquire_audience();
-    audience.clear();
-    gather_window_listeners(cell, ring, audience);
-    audience.insert(audience.end(), global_listeners_.begin(), global_listeners_.end());
-    finalize_audience(audience);
-    // Save the finalized start audience for the end edge (every ref has
-    // seq < watermark by construction). Must happen before callbacks run:
-    // a callback may detach (which scrubs saved audiences) or transmit
-    // (which may reallocate tx_aux_).
+    audience.assign(cached.begin(), cached.end());
     std::vector<ListenerRef> snap = acquire_aux_audience();
-    snap.assign(audience.begin(), audience.end());
+    snap.assign(cached.begin(), cached.end());
     tx_aux_.back().audience = std::move(snap);
     notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_start(tx); });
     release_audience();
@@ -310,21 +353,27 @@ void Medium::finish_tx(TxId id) {
     notify_below(aux.watermark, [&tx](MediumListener* l) { l->on_tx_end(tx); });
     return;
   }
-  // Replay the saved start audience instead of re-walking the grid window:
-  // everything that heard the start is in it, detach scrubbed anyone who
-  // left, and mid-flight movers (in either direction, including a moving
-  // source) were pinned by set_position. Pins may duplicate saved refs or
-  // carry post-watermark seqs; the filter + finalize pass absorbs both.
+  // Replay the saved start audience: everything that heard the start is in
+  // it, detach scrubbed anyone who left, and listeners that came into range
+  // mid-flight (by their own move or the source's) were pinned by
+  // set_position. Without pins the snapshot is already seq-sorted and below
+  // the watermark, so it is swapped into the pooled buffer as it is. Pins
+  // may duplicate saved refs or carry post-watermark seqs; the filter +
+  // finalize pass absorbs both.
   auto& audience = acquire_audience();
-  audience.clear();
-  audience.insert(audience.end(), aux.audience.begin(), aux.audience.end());
-  audience.insert(audience.end(), aux.pinned.begin(), aux.pinned.end());
-  audience.erase(std::remove_if(audience.begin(), audience.end(),
-                                [&aux](const ListenerRef& r) {
-                                  return r.seq >= aux.watermark;
-                                }),
-                 audience.end());
-  finalize_audience(audience);
+  if (aux.pinned.empty()) {
+    audience.swap(aux.audience);
+  } else {
+    audience.clear();
+    audience.insert(audience.end(), aux.audience.begin(), aux.audience.end());
+    audience.insert(audience.end(), aux.pinned.begin(), aux.pinned.end());
+    audience.erase(std::remove_if(audience.begin(), audience.end(),
+                                  [&aux](const ListenerRef& r) {
+                                    return r.seq >= aux.watermark;
+                                  }),
+                   audience.end());
+    finalize_audience(audience);
+  }
   notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_end(tx); });
   release_audience();
   release_aux_audience(std::move(aux.audience));

@@ -10,10 +10,12 @@
 //
 // Two execution paths produce bitwise-identical results (DESIGN.md Sec. 12):
 // the brute-force path visits every active transmission / every listener,
-// while the spatially-indexed path (MediumTuning::spatial_index) culls both
-// to a grid neighborhood sized by a conservative interference radius. The
-// audibility predicate that decides what a receiver can hear is shared by
-// both paths, so the equivalence is by construction, and the test suite
+// while the spatially-indexed path (MediumTuning::spatial_index) culls
+// energy sums to a grid neighborhood sized by a conservative interference
+// radius and delivers transmission edges to exactly the audible bound
+// listeners, replaying start audiences cached per (source node, tx power).
+// The audibility predicate that decides what a receiver can hear is shared
+// by both paths, so the equivalence is by construction, and the test suite
 // (tests/phy/medium_equivalence_test.cpp) enforces it.
 
 #include <algorithm>
@@ -77,8 +79,11 @@ class TxInterceptor {
 /// that can change what its node observes — the start and end of every
 /// transmission audible at the node (see Medium::audible) and every position
 /// change that can alter an audible link — and may additionally receive
-/// events for inaudible transmissions (it must treat those as no-ops; the
-/// spatially-indexed path prunes them, the brute-force path does not).
+/// events for inaudible transmissions, which it must treat as no-ops. The
+/// brute-force path delivers every edge to every listener. The indexed path
+/// delivers a start edge to exactly the bound listeners audible at that
+/// instant, and the end edge to those same listeners (even if they have
+/// since moved out of range) plus any that became audible mid-flight.
 class MediumListener {
  public:
   virtual void on_tx_start(const ActiveTransmission& tx) = 0;
@@ -171,7 +176,8 @@ class Medium {
   /// Distance at which `tx_power_dbm` provably falls below the snap floor:
   /// inverts the mean path loss at snap_floor_dbm, pads by the provable
   /// shadowing bound (see DESIGN.md Sec. 12) and 5% slack. Infinite when the
-  /// path-loss exponent is non-positive (then nothing is ever culled).
+  /// path-loss exponent is non-positive or a parameter is NaN (then nothing
+  /// is ever culled).
   [[nodiscard]] double interference_radius_m(double tx_power_dbm) const;
 
   /// Total in-band energy at `rx` from all active transmissions except those
@@ -219,18 +225,33 @@ class Medium {
   struct TxAux {
     double radius2 = 0.0;         ///< audibility radius^2 for this power
     std::uint64_t watermark = 0;  ///< listener seq fence captured at begin
-    CellCoord start_cell{};       ///< source cell when the start edge fired
     std::int64_t ring = 0;        ///< window ring for this tx (indexed mode)
-    /// Finalized start audience (indexed mode): the end edge replays it —
-    /// plus any pins — instead of re-walking the grid window, halving the
-    /// gather work per transmission. Storage comes from a pool, so steady
-    /// state allocates nothing per tx. Detach scrubs it like `pinned`.
+    /// Exact start audience (indexed mode): the audible bound listeners plus
+    /// the globals, seq-sorted and all below `watermark`. The end edge
+    /// replays it — plus any pins — so a listener that heard the start always
+    /// hears the end. Storage comes from a pool, so steady state allocates
+    /// nothing per tx. Detach scrubs it like `pinned`.
     std::vector<ListenerRef> audience;
-    /// Bound listeners that became relevant (or risked becoming unreachable)
-    /// mid-flight: movers crossing cells, and — when the *source* moves —
-    /// everyone in the window around its new cell. They get the end edge on
-    /// top of `audience`. Moves are rare, so this stays off the hot path.
+    /// Bound listeners that became audible mid-flight: a mover that lands
+    /// in range, and — when the *source* moves — everyone in range of its
+    /// new position. They get the end edge on top of `audience`. Moves are
+    /// rare, so this stays off the hot path.
     std::vector<ListenerRef> pinned;
+  };
+
+  /// An AudienceEntry epoch that never matches: rebuild before next use.
+  static constexpr std::uint64_t kStaleEpoch =
+      std::numeric_limits<std::uint64_t>::max();
+  /// Cached exact start audience of (source node, tx power): the seq-sorted
+  /// bound listeners within that power's interference radius of the source,
+  /// plus the globals. Valid while `epoch` equals audience_epoch_. Attach
+  /// and detach invalidate every entry by bumping the epoch; a move marks
+  /// stale only the mover's own entries and those whose radius it crosses.
+  struct AudienceEntry {
+    double power_dbm = 0.0;
+    double radius2 = 0.0;
+    std::uint64_t epoch = kStaleEpoch;
+    std::vector<ListenerRef> refs;
   };
 
   /// Memoized audibility radius per distinct tx power (a run uses a
@@ -253,12 +274,13 @@ class Medium {
   // --- listener fan-out ----------------------------------------------------
   //
   // Brute-force path: iterate the master slot list in attach (seq) order,
-  // optionally fenced by a seq watermark. Indexed path: gather the bound
-  // listeners of every node in the event's grid window plus the globals into
-  // a reusable audience buffer, sort by seq, dedupe, then invoke. Reentrancy
-  // (a callback transmitting, attaching, detaching, adding nodes) is handled
-  // by never holding references into mutable containers while user code
-  // runs: audiences are snapshots, detach null-marks them in place.
+  // optionally fenced by a seq watermark. Indexed path: copy the cached
+  // start audience (or, for moves, gather the bound listeners of every node
+  // in the event's grid window plus the globals, sort by seq and dedupe)
+  // into a reusable audience buffer, then invoke. Reentrancy (a callback
+  // transmitting, attaching, detaching, adding nodes) is handled by never
+  // holding references into mutable containers while user code runs:
+  // audiences are snapshots, detach null-marks them in place.
 
   /// Notifies every listener with seq < watermark present when the loop
   /// starts, in attach order. Listeners detached during the loop are
@@ -308,9 +330,17 @@ class Medium {
   void release_aux_audience(std::vector<ListenerRef>&& v) {
     aux_audience_pool_.push_back(std::move(v));
   }
-  /// Appends the bound listeners of every node in the window to `out`.
-  void gather_window_listeners(CellCoord center, std::int64_t ring,
-                               std::vector<ListenerRef>& out) const;
+  /// Appends to `out` the bound listeners of every node in the window whose
+  /// position is within sqrt(radius2) of `src_pos`.
+  void gather_audible_listeners(Position src_pos, CellCoord center, std::int64_t ring,
+                                double radius2, std::vector<ListenerRef>& out) const;
+  /// The exact start audience of a transmission from `src` at `tx_power_dbm`,
+  /// rebuilt from the grid window when its cache entry is stale. The
+  /// reference is valid until the next begin_tx.
+  [[nodiscard]] const std::vector<ListenerRef>& start_audience(NodeId src,
+                                                               double tx_power_dbm,
+                                                               double radius2,
+                                                               std::int64_t ring);
   /// Sorts by seq and drops duplicates (a listener can enter an audience
   /// via several window cells or a pin). Stable event order = attach order.
   static void finalize_audience(std::vector<ListenerRef>& audience);
@@ -356,6 +386,8 @@ class Medium {
   std::uint64_t next_listener_seq_ = 0;
   std::vector<ListenerRef> global_listeners_;
   std::vector<std::vector<ListenerRef>> node_listeners_;  ///< by NodeId
+  std::vector<std::vector<AudienceEntry>> audience_cache_;  ///< by NodeId (indexed)
+  std::uint64_t audience_epoch_ = 0;  ///< bumped by attach and detach
   std::vector<std::unique_ptr<std::vector<ListenerRef>>> audience_pool_;
   std::size_t audience_depth_ = 0;
   std::vector<std::vector<ListenerRef>> aux_audience_pool_;

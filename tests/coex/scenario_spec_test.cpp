@@ -246,6 +246,33 @@ TEST(ScenarioSpecTest, DurationKeysMustBePositive) {
   EXPECT_NE(error.find("interval"), std::string::npos) << error;
 }
 
+TEST(ScenarioSpecTest, NonFiniteNumbersAndSubMetreCellsAreRejected) {
+  // strtod accepts nan/inf spellings; no float key means them. A NaN snap
+  // floor would silently disable every audibility test, and an infinite or
+  // sub-metre cell aborts the grid or makes every window enormous.
+  std::string error;
+  for (const char* bad :
+       {"medium.cell = inf\n", "medium.cell = nan\n", "medium.cell = 0.001\n",
+        "medium.cell = 1e-300\n", "medium.cell = 0.999\n", "medium.snap_floor = nan\n",
+        "medium.snap_floor = -inf\n", "medium.max_tx_power = inf\n",
+        "pathloss.sigma = nan\n", "wifi.high_share = INF\n",
+        "burst.interval = infms\n"}) {
+    auto spec = ScenarioSpec::parse(bad, &error);
+    ASSERT_TRUE(spec.has_value()) << bad;
+    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
+    const std::string text(bad);
+    const std::string key = text.substr(0, text.find(' '));
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
+  // 0 still means "derive", and a 1 m cell is the smallest explicit one.
+  for (const char* good :
+       {"medium.cell = 0\n", "medium.cell = 1\n", "medium.cell = 25\n"}) {
+    auto spec = ScenarioSpec::parse(good, &error);
+    ASSERT_TRUE(spec.has_value()) << good;
+    EXPECT_TRUE(spec->config(&error).has_value()) << good << error;
+  }
+}
+
 TEST(ScenarioSpecTest, ClockSkewPpmLowersToFaultEventAndValidatesRange) {
   std::string error;
   auto spec = ScenarioSpec::parse("fault.clock_skew_ppm = 200\n", &error);

@@ -9,8 +9,9 @@
 // must be identical in content and order. DESIGN.md Sec. 12 documents why
 // this holds by construction; this suite enforces it per seed across
 // topology sizes from 10 to 1500 nodes, clustered and uniform placement,
-// mobility (including sources that move mid-transmission), band retunes,
-// and listener attach/detach churn.
+// mobility (including sources that move mid-transmission, and sub-cell
+// jitter across interference radii), band retunes, and listener
+// attach/detach churn.
 
 #include <gtest/gtest.h>
 
@@ -87,6 +88,13 @@ struct ScriptParams {
   int steps = 250;
   std::size_t bound_listeners = 40;  ///< capped at `nodes`
   int burst = 0;  ///< extra long-lived txes up front (drives the merge path)
+  double move_sigma_m = 8.0;    ///< per-axis jitter of a move
+  double far_hop_share = 0.25;  ///< share of moves that first hop to a far site
+  std::int64_t min_tx_us = 80;
+  std::int64_t max_tx_us = 4000;
+  /// Listener churn and node joins; without them (their steps advance time
+  /// instead) cached audiences are invalidated only by moves.
+  bool churn = true;
   std::uint64_t seed = 1;
 };
 
@@ -206,20 +214,21 @@ void run_equivalence(const ScriptParams& p) {
       // rings); mixed bands exercise retuned receivers via the probes.
       const auto src = static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(node_count) - 1));
       const double power = 20.0 - 4.0 * static_cast<double>(step % 6);
-      begin_tx(src, step, power, Duration::from_us(rng.uniform_int(80, 4000)));
+      const Duration dur = Duration::from_us(rng.uniform_int(p.min_tx_us, p.max_tx_us));
+      begin_tx(src, step, power, dur);
     } else if (roll < 0.70) {
       // Move: mostly local jitter, sometimes a hop to a far site — crossing
       // many grid cells while transmissions are in flight (pinning paths).
       const auto m = static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(node_count) - 1));
       Position pos = brute.medium_->position(m);
-      if (rng.bernoulli(0.25)) {
+      if (rng.bernoulli(p.far_hop_share)) {
         pos = sites[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(p.nodes) - 1))];
       }
-      pos.x += rng.normal(0.0, 8.0);
-      pos.y += rng.normal(0.0, 8.0);
+      pos.x += rng.normal(0.0, p.move_sigma_m);
+      pos.y += rng.normal(0.0, p.move_sigma_m);
       brute.medium_->set_position(m, pos);
       indexed.medium_->set_position(m, pos);
-    } else if (roll < 0.80) {
+    } else if (roll < 0.80 && p.churn) {
       // Listener churn: detach one bound recorder, attach a fresh one
       // (fresh attach seq — exercises the end-edge watermark fence).
       if (!brute.bound_.empty() && rng.bernoulli(0.5)) {
@@ -236,7 +245,7 @@ void run_equivalence(const ScriptParams& p) {
         attach_recorder(brute, node);
         attach_recorder(indexed, node);
       }
-    } else if (roll < 0.85) {
+    } else if (roll < 0.85 && p.churn) {
       // Node join mid-run, immediately active.
       Position pos = sites[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(p.nodes) - 1))];
       pos.x += 1.5;
@@ -340,6 +349,25 @@ TEST(MediumEquivalence, MidUniformSmallCellsMergePath) {
   p.burst = 220;
   p.steps = 200;
   p.seed = 44;
+  run_equivalence(p);
+}
+
+TEST(MediumEquivalence, SubCellJitterAroundLongTransmissions) {
+  // Small moves while many long transmissions are on the air: movers (and
+  // moving sources) cross interference radii without leaving their grid
+  // cell, which only pinning on every move gets right. No listener churn,
+  // so a stale cached audience survives until a radius crossing marks it.
+  ScriptParams p;
+  p.nodes = 120;
+  p.area_m = 300.0;
+  p.bound_listeners = 120;
+  p.move_sigma_m = 2.0;
+  p.far_hop_share = 0.0;
+  p.min_tx_us = 5000;
+  p.max_tx_us = 30000;
+  p.churn = false;
+  p.steps = 400;
+  p.seed = 77;
   run_equivalence(p);
 }
 

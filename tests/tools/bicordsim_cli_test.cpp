@@ -76,6 +76,13 @@ TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
   EXPECT_NE(r.output.find("wifi.priority_cycle"), std::string::npos) << r.output;
 }
 
+TEST(BicordsimCliTest, InfiniteCellSizeExitsWithUsageError) {
+  // Used to escape as an uncaught std::invalid_argument from the grid (134).
+  const Result r = run_sim("--scenario dense --set medium.cell=inf --seconds 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("medium.cell"), std::string::npos) << r.output;
+}
+
 TEST(BicordsimCliTest, RepeatStdoutIsByteIdenticalAcrossRuns) {
   // Wall time and throughput differ run to run, so they stay off stdout.
   const std::string args = "--scenario fig10 --repeat 2 --seconds 1 --jobs 2";
