@@ -13,6 +13,11 @@ using namespace bicord::bench;
 
 int main(int argc, char** argv) {
   const int segments = arg_or(argc, argv, 200);  // paper: 200
+  if (segments < coex::kMinSegmentsPerSource) {
+    std::fprintf(stderr, "error: scale must be at least %d segments per source (got %d)\n",
+                 coex::kMinSegmentsPerSource, segments);
+    return 2;
+  }
   const std::uint64_t seed = 1414;
   print_header("bench_cti_accuracy", "Sec. VII-A (CTI detection accuracy)", seed);
   std::printf("segments per source: %d\n\n", segments);

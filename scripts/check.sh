@@ -5,18 +5,14 @@
 # builds never contaminate each other. The plain build is configured with
 # -DBICORD_WERROR=ON, so a new compiler warning fails the gate.
 #
-# Usage:  scripts/check.sh [fast|lint|lint-fast|chaos|bench|examples|dense|failover|techs]
+# Usage:  scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs]
 #   default — plain + lint (clang-tidy + bicord_lint) + dense smoke +
 #             failover smoke + TSAN + ASan/UBSan, i.e. warnings -> static
 #             gates -> tests -> sanitizers
 #   fast    — plain build + tests only
 #   lint    — static gates only: clang-tidy (skipped with a notice when the
-#             tool is absent) and tools/bicord_lint, both against ratcheted
-#             baselines (see scripts/lint.sh and DESIGN.md Sec. 10)
-#   lint-fast — inner-loop static gate: bicord_lint on CHANGED files only
-#             (git diff vs HEAD + staged + untracked; BICORD_FORMAT_BASE
-#             widens the range). Same exit-code contract as lint (0 clean,
-#             2 new findings, 3 ratchet violation); clang-tidy is skipped
+#             tool is absent) and tools/bicord_lint; any finding fails (see
+#             scripts/lint.sh and DESIGN.md Sec. 10)
 #   dense   — dense-scenario smoke: the medium equivalence/stress suites,
 #             then bicordsim on the dense + dense1k presets twice each —
 #             spatial index on vs off — asserting byte-identical output
@@ -43,6 +39,13 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+case "$MODE" in
+  full|fast|lint|chaos|bench|examples|dense|failover|techs) ;;
+  *)
+    echo "usage: scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs]" >&2
+    exit 1
+    ;;
+esac
 
 if [ "$MODE" = "bench" ]; then
   echo "== perf smoke: bench_micro allocation invariants =="
@@ -52,11 +55,6 @@ fi
 if [ "$MODE" = "lint" ]; then
   echo "== static gates: clang-tidy + bicord_lint =="
   exec scripts/lint.sh all
-fi
-
-if [ "$MODE" = "lint-fast" ]; then
-  echo "== static gate (inner loop): bicord_lint, changed files only =="
-  exec scripts/lint.sh fast
 fi
 
 if [ "$MODE" = "examples" ]; then

@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# Static-correctness gate, two layers (DESIGN.md Sec. 10):
+# Static-correctness gate, two layers (DESIGN.md Sec. 10). Any finding in
+# either layer fails the gate; a deliberate exception is waived in place
+# (NOLINT for clang-tidy, `// bicord-lint: allow(<rule>)` for bicord_lint).
 #
 #   layer 1 — clang-tidy over the CMake compilation database, curated check
-#             set in .clang-tidy. Findings are fingerprinted (path|check|
-#             source-line text, line-number free) and compared against the
-#             committed baseline scripts/clang_tidy_baseline.txt. Any NEW
-#             finding fails; the baseline may only shrink (ratchet).
+#             set in .clang-tidy.
 #   layer 2 — tools/bicord_lint.cpp, the project-rule linter (determinism,
-#             callback lifetime, hygiene) with its own ratcheted baseline
-#             scripts/bicord_lint_baseline.txt.
+#             callback lifetime, layering, hygiene).
 #
 # clang-tidy/clang-format version floor: 14 (LLVM 14 is the oldest toolchain
 # the curated check set was validated against). When the tools are absent the
@@ -16,35 +14,20 @@
 # the determinism/lifetime rules gate every environment. Set
 # BICORD_REQUIRE_CLANG_TIDY=1 (CI) to turn a missing clang-tidy into an error.
 #
-# Usage: scripts/lint.sh [all|tidy|bicord|fast|format-check|refresh-baseline]
+# Usage: scripts/lint.sh [all|tidy|bicord|format-check]
 #   all              (default) tidy + bicord
 #   tidy             clang-tidy layer only
 #   bicord           bicord_lint layer only
-#   fast             bicord_lint on CHANGED files only (vs HEAD, plus staged +
-#                    untracked; BICORD_FORMAT_BASE widens the range) — the
-#                    inner-loop mode behind `scripts/check.sh lint-fast`.
-#                    Same exit-code contract as the full run; layering still
-#                    sees the whole include graph (chains are resolved
-#                    lazily), only the scan set shrinks.
 #   format-check     clang-format --dry-run on CHANGED files only (vs HEAD,
 #                    plus staged + untracked; never a mass reformat)
-#   refresh-baseline [--rule NAME]
-#                    rewrite both baselines from current findings; refuses
-#                    to grow either one (the ratchet only goes down). With
-#                    --rule NAME only that bicord_lint rule's baseline slice
-#                    is rewritten (clang-tidy refresh is skipped): refreshing
-#                    one rule can't quietly absorb regressions in another.
 #
-# Exit codes: 0 clean/skipped, 1 environment or usage error, 2 new findings,
-#             3 ratchet violation.
+# Exit codes: 0 clean/skipped, 1 environment or usage error, 2 findings.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
-TIDY_BASELINE=scripts/clang_tidy_baseline.txt
-BICORD_BASELINE=scripts/bicord_lint_baseline.txt
 LAYERING=scripts/layering.txt
 MIN_LLVM_MAJOR=14
 # Directories scanned by both layers. bicord_lint scopes its determinism and
@@ -78,31 +61,7 @@ ensure_compile_db() {
   fi
 }
 
-# Normalizes clang-tidy output lines "path:line:col: warning: msg [check]"
-# into line-number-free fingerprints "relpath|check|trimmed source text".
-tidy_fingerprints() {  # stdin: raw clang-tidy output; stdout: sorted fingerprints
-  local repo
-  repo="$(pwd)"
-  # grep exits 1 on zero matches (the expected clean state) — don't let
-  # pipefail turn that into a gate failure.
-  { grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error): .* \[[^]]+\]$' || true; } \
-    | while IFS= read -r finding; do
-        local file line check text
-        file="${finding%%:*}"
-        line="$(echo "$finding" | cut -d: -f2)"
-        check="$(echo "$finding" | sed -E 's/.*\[([^]]+)\]$/\1/')"
-        file="${file#"$repo"/}"
-        text="$(sed -n "${line}p" "$file" 2>/dev/null \
-                  | sed 's/^[[:space:]]*//;s/[[:space:]]*$//')"
-        echo "${file}|${check}|${text}"
-      done | sort -u
-}
-
-read_baseline() {  # read_baseline <file> -> sorted non-comment lines
-  [ -f "$1" ] && grep -vE '^\s*(#|$)' "$1" | sort -u || true
-}
-
-run_tidy() {  # run_tidy [refresh]
+run_tidy() {
   # Export + mirror the compilation database even when clang-tidy is absent:
   # editors/clangd consume the root-level compile_commands.json too.
   ensure_compile_db
@@ -115,19 +74,19 @@ run_tidy() {  # run_tidy [refresh]
     fi
     return 0
   fi
-  echo "== layer 1: ${tidy} (curated checks, ratcheted baseline) =="
+  echo "== layer 1: ${tidy} (curated checks) =="
   local workdir
   workdir="$(mktemp -d "${TMPDIR:-/tmp}/bicord_tidy.XXXXXX")"
   git ls-files 'src/*.cpp' 'tools/*.cpp' 'bench/*.cpp' 'tests/*.cpp' \
     > "$workdir/files"
   # One clang-tidy process per TU, each with a private stdout/stderr pair:
   # parallel processes can't interleave mid-line (which would corrupt finding
-  # lines past the fingerprint regex), and a TU where the tool itself fails
+  # lines past the match below), and a TU where the tool itself fails
   # (bad flags, missing compile_commands entry, frontend error) is recorded
   # instead of silently contributing an empty findings file.
   # --warnings-as-errors=-* overrides the config's WarningsAsErrors so the
   # exit status means "tool/compile failure", never "has findings" — the
-  # ratchet below is what gates findings.
+  # warning lines themselves are what gates findings.
   export TIDY_BIN="$tidy" TIDY_WORK="$workdir"
   xargs -r -P "$JOBS" -n 1 bash -c '
     out="$TIDY_WORK/$(printf "%s" "$1" | tr "/" "_")"
@@ -144,103 +103,28 @@ run_tidy() {  # run_tidy [refresh]
     rm -rf "$workdir"
     return 1
   fi
-  local raw="$workdir/raw" cur="$workdir/cur"
-  find "$workdir" -name '*.out' -exec cat {} + > "$raw"
-  tidy_fingerprints < "$raw" > "$cur"
-  local base_tmp="$workdir/base"
-  read_baseline "$TIDY_BASELINE" > "$base_tmp"
-  local fresh stale
-  fresh="$(comm -23 "$cur" "$base_tmp")"
-  stale="$(comm -13 "$cur" "$base_tmp")"
-  if [ "${1:-}" = "refresh" ]; then
-    if [ -n "$fresh" ]; then
-      echo "ratchet: refusing to grow $TIDY_BASELINE — fix these instead:"
-      echo "$fresh" | sed 's/^/  /'
-      rm -rf "$workdir"
-      return 3
-    fi
-    {
-      echo "# clang-tidy suppression baseline — may only shrink (ratchet)."
-      echo "# Fingerprints: relpath|check|trimmed source line."
-      cat "$cur"
-    } > "$TIDY_BASELINE"
-    echo "baseline refreshed: $(wc -l < "$cur") entr(y/ies)"
+  local rc=0
+  find "$workdir" -name '*.out' -exec cat {} + > "$workdir/raw"
+  if grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error): .* \[[^]]+\]$' \
+       "$workdir/raw" > "$workdir/findings"; then
+    echo "clang-tidy findings:"
+    sed 's/^/  /' "$workdir/findings"
+    rc=2
   else
-    if [ -n "$stale" ]; then
-      echo "note: $(echo "$stale" | wc -l) baseline entries no longer fire —" \
-           "run scripts/lint.sh refresh-baseline to ratchet down"
-    fi
-    if [ -n "$fresh" ]; then
-      echo "NEW clang-tidy findings (not in $TIDY_BASELINE):"
-      grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error): ' "$raw" | sed 's/^/  /'
-      rm -rf "$workdir"
-      return 2
-    fi
-    echo "clang-tidy clean ($(wc -l < "$cur") baselined)"
+    echo "clang-tidy clean"
   fi
   rm -rf "$workdir"
+  return "$rc"
 }
 
-build_bicord_lint() {
+run_bicord() {
   if [ ! -x build/tools/bicord_lint ] \
      || [ tools/bicord_lint.cpp -nt build/tools/bicord_lint ]; then
     cmake -B build -S . > /dev/null
     cmake --build build -j "$JOBS" --target bicord_lint > /dev/null
   fi
-}
-
-run_bicord() {  # run_bicord [refresh [rule]]
-  build_bicord_lint
   echo "== layer 2: bicord_lint (determinism / lifetime / layering / hygiene) =="
-  if [ "${1:-}" = "refresh" ]; then
-    local scope=()
-    [ -n "${2:-}" ] && scope=(--rule "$2")
-    ./build/tools/bicord_lint --baseline "$BICORD_BASELINE" --write-baseline \
-      "${scope[@]}" --layering "$LAYERING" --src-root src "${LINT_PATHS[@]}"
-  else
-    ./build/tools/bicord_lint --baseline "$BICORD_BASELINE" \
-      --layering "$LAYERING" --src-root src "${LINT_PATHS[@]}"
-  fi
-}
-
-changed_cpp_files() {
-  # Working tree + index vs HEAD, plus untracked; BICORD_FORMAT_BASE widens
-  # the range for CI (same selection as format-check).
-  (git diff --name-only HEAD --
-   git diff --name-only --cached
-   git ls-files --others --exclude-standard
-   if [ -n "${BICORD_FORMAT_BASE:-}" ]; then
-     git diff --name-only "${BICORD_FORMAT_BASE}...HEAD"
-   fi) \
-    | sort -u | grep -E '\.(cpp|hpp|h)$' \
-    | while IFS= read -r f; do [ -f "$f" ] && echo "$f"; done || true
-}
-
-run_bicord_fast() {
-  build_bicord_lint
-  local files=()
-  while IFS= read -r f; do files+=("$f"); done < <(changed_cpp_files)
-  if [ "${#files[@]}" -eq 0 ]; then
-    echo "lint-fast: no changed C++ files"
-    return 0
-  fi
-  echo "== lint-fast: bicord_lint on ${#files[@]} changed file(s) =="
-  # --json gives the machine-readable finding list; surface the per-rule
-  # counts, then re-print the human rendering only when something fired.
-  # (No xargs: it would replace the linter's 2/3 exit contract with 123.)
-  local json rc=0
-  json="$(./build/tools/bicord_lint --baseline "$BICORD_BASELINE" \
-            --layering "$LAYERING" --src-root src --json "${files[@]}")" \
-    || rc=$?
-  if [ "$rc" -ne 0 ]; then
-    echo "$json" | grep -oE '"rule": "[a-z-]+"' | sort | uniq -c | sort -rn \
-      | sed 's/"rule": //; s/"//g; s/^/  /'
-    ./build/tools/bicord_lint --baseline "$BICORD_BASELINE" \
-      --layering "$LAYERING" --src-root src "${files[@]}" || rc=$?
-  else
-    echo "lint-fast: clean"
-  fi
-  return "$rc"
+  ./build/tools/bicord_lint --layering "$LAYERING" --src-root src "${LINT_PATHS[@]}"
 }
 
 run_format_check() {
@@ -275,29 +159,9 @@ case "$MODE" in
     ;;
   tidy) run_tidy ;;
   bicord) run_bicord ;;
-  fast) run_bicord_fast ;;
   format-check) run_format_check ;;
-  refresh-baseline)
-    RULE=""
-    if [ "${2:-}" = "--rule" ]; then
-      RULE="${3:-}"
-      if [ -z "$RULE" ]; then
-        echo "usage: scripts/lint.sh refresh-baseline [--rule NAME]" >&2
-        exit 1
-      fi
-    elif [ -n "${2:-}" ]; then
-      echo "usage: scripts/lint.sh refresh-baseline [--rule NAME]" >&2
-      exit 1
-    fi
-    if [ -n "$RULE" ]; then
-      echo "-- --rule ${RULE}: bicord_lint slice only (clang-tidy refresh skipped)"
-    else
-      run_tidy refresh
-    fi
-    run_bicord refresh "$RULE"
-    ;;
   *)
-    echo "usage: scripts/lint.sh [all|tidy|bicord|fast|format-check|refresh-baseline [--rule NAME]]" >&2
+    echo "usage: scripts/lint.sh [all|tidy|bicord|format-check]" >&2
     exit 1
     ;;
 esac

@@ -15,9 +15,14 @@
 
 namespace bicord::coex {
 
+/// Fewest segments per source that train: half the segments train, and the
+/// device k-means needs one training row per Wi-Fi device.
+inline constexpr int kMinSegmentsPerSource = 2;
+
 struct CtiTrainingConfig {
   std::uint64_t seed = 42;
-  /// Segments recorded per source configuration (paper: 200).
+  /// Segments recorded per source configuration (paper: 200; at least
+  /// kMinSegmentsPerSource).
   int segments_per_source = 200;
   /// Wi-Fi sender distances from the collector, metres (paper: 1, 3, 5).
   std::vector<double> wifi_distances_m = {1.0, 3.0, 5.0};

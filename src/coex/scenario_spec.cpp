@@ -1,13 +1,21 @@
 #include "coex/scenario_spec.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 namespace bicord::coex {
 namespace {
+
+/// aMaxPHYPacketSize, the largest 802.15.4 frame. The 11-byte MAC overhead
+/// is not subtracted, so the paper's 120-byte control packet stays legal.
+constexpr std::int64_t kMaxZigbeePayload = 127;
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 std::string trim(const std::string& s) {
   std::size_t b = 0;
@@ -22,35 +30,6 @@ std::string lower(std::string s) {
   return s;
 }
 
-bool parse_i64(const std::string& s, std::int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Finite numbers only: strtod also accepts "nan" and "inf", which no key
-/// means (a NaN snap floor, for one, silently disables every audibility test).
-bool parse_f64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
 bool parse_bool(const std::string& s, bool* out) {
   const std::string v = lower(s);
   if (v == "true" || v == "1" || v == "on" || v == "yes") {
@@ -62,29 +41,6 @@ bool parse_bool(const std::string& s, bool* out) {
     return true;
   }
   return false;
-}
-
-/// Durations use the fault-plan DSL's suffixes: us / ms / s (decimals OK).
-bool parse_duration(const std::string& s, Duration* out) {
-  if (s.empty()) return false;
-  double scale_to_us = 0.0;
-  std::string num;
-  if (s.size() > 2 && s.compare(s.size() - 2, 2, "us") == 0) {
-    scale_to_us = 1.0;
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 2 && s.compare(s.size() - 2, 2, "ms") == 0) {
-    scale_to_us = 1e3;
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 1 && s.back() == 's') {
-    scale_to_us = 1e6;
-    num = s.substr(0, s.size() - 1);
-  } else {
-    return false;
-  }
-  double v = 0.0;
-  if (!parse_f64(trim(num), &v)) return false;
-  *out = Duration::from_us(std::llround(v * scale_to_us));
-  return true;
 }
 
 bool parse_coordination(const std::string& s, Coordination* out) {
@@ -146,17 +102,14 @@ bool parse_extra_link(const std::string& text, ExtraZigbeeSpec* out,
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     bool ok = true;
-    std::int64_t i = 0;
     if (key == "loc") {
       ok = parse_location(value, &spec.location);
     } else if (key == "offset") {
       ok = parse_position(value, &spec.offset);
     } else if (key == "packets") {
-      ok = parse_i64(value, &i) && i > 0;
-      spec.burst.packets_per_burst = static_cast<int>(i);
+      ok = parse_int(value, &spec.burst.packets_per_burst, 1, kMaxAllocCount);
     } else if (key == "payload") {
-      ok = parse_i64(value, &i) && i > 0;
-      spec.burst.payload_bytes = static_cast<std::uint32_t>(i);
+      ok = parse_int(value, &spec.burst.payload_bytes, 1, kMaxZigbeePayload);
     } else if (key == "interval") {
       ok = parse_duration(value, &spec.burst.mean_interval) &&
            spec.burst.mean_interval > Duration::zero();
@@ -261,8 +214,8 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     *error = describe_entry(e) + ": " + why;
     return false;
   };
-  auto bad_value = [&](const char* expected) {
-    return fail(std::string("expected ") + expected + ", got '" + value + "'");
+  auto bad_value = [&](const std::string& expected) {
+    return fail("expected " + expected + ", got '" + value + "'");
   };
   // Periods and intervals feed timers and rates: zero or a negative value
   // would divide by zero or abort mid-run, so it is rejected here.
@@ -273,8 +226,21 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     *field = d;
     return true;
   };
+  // Gaps, margins and backoffs may be zero but never negative: the
+  // simulator aborts on a negative delay.
+  auto nonnegative_duration = [&](Duration* field) {
+    Duration d;
+    if (!parse_duration(value, &d) || d < Duration::zero())
+      return bad_value("a non-negative duration (us/ms/s suffix)");
+    *field = d;
+    return true;
+  };
+  auto integer = [&](auto* field, std::int64_t lo, std::int64_t hi) {
+    if (parse_int(value, field, lo, hi)) return true;
+    return bad_value("an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  };
 
-  std::int64_t i = 0;
   std::uint64_t u = 0;
   double f = 0.0;
   bool b = false;
@@ -290,20 +256,18 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     else return bad_value("'coex' or 'ble'");
   } else if (key == "coordination") {
     if (!parse_coordination(value, &out->cfg.coordination))
-      return bad_value("bicord, ecc, or csma");
+      return bad_value("bicord, ecc, csma, lteu, or tsch");
   } else if (key == "location") {
     if (!parse_location(value, &out->cfg.location)) return bad_value("A, B, C, or D");
   } else if (key == "wifi.traffic") {
     if (!parse_wifi_traffic(value, &out->cfg.wifi_traffic))
       return bad_value("cbr, saturated, or priority");
   } else if (key == "wifi.payload") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.wifi_payload_bytes = static_cast<std::uint32_t>(i);
+    if (!integer(&out->cfg.wifi_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "wifi.cbr_interval") {
     if (!positive_duration(&out->cfg.wifi_cbr_interval)) return false;
   } else if (key == "wifi.cbr_payload") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.wifi_cbr_payload_bytes = static_cast<std::uint32_t>(i);
+    if (!integer(&out->cfg.wifi_cbr_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "wifi.high_share") {
     if (!parse_f64(value, &f)) return bad_value("a number");
     out->cfg.wifi_high_share = f;
@@ -337,13 +301,11 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "election.grace") {
     if (!positive_duration(&out->cfg.election_grace)) return false;
   } else if (key == "burst.packets") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.burst.packets_per_burst = static_cast<int>(i);
-    out->ble.burst.packets_per_burst = static_cast<int>(i);
+    if (!integer(&out->cfg.burst.packets_per_burst, 1, kMaxAllocCount)) return false;
+    out->ble.burst.packets_per_burst = out->cfg.burst.packets_per_burst;
   } else if (key == "burst.payload") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.burst.payload_bytes = static_cast<std::uint32_t>(i);
-    out->ble.burst.payload_bytes = static_cast<std::uint32_t>(i);
+    if (!integer(&out->cfg.burst.payload_bytes, 1, kMaxZigbeePayload)) return false;
+    out->ble.burst.payload_bytes = out->cfg.burst.payload_bytes;
   } else if (key == "burst.interval") {
     if (!positive_duration(&out->cfg.burst.mean_interval)) return false;
     out->ble.burst.mean_interval = out->cfg.burst.mean_interval;
@@ -373,35 +335,28 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->cfg.zigbee_duty_cycle = b;
   } else if (key == "allocator.initial_whitespace") {
-    if (!parse_duration(value, &out->cfg.allocator.initial_whitespace))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.allocator.initial_whitespace)) return false;
   } else if (key == "allocator.control_duration") {
-    if (!parse_duration(value, &out->cfg.allocator.control_duration))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!nonnegative_duration(&out->cfg.allocator.control_duration)) return false;
   } else if (key == "allocator.end_of_burst_gap") {
-    if (!parse_duration(value, &out->cfg.allocator.end_of_burst_gap))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!nonnegative_duration(&out->cfg.allocator.end_of_burst_gap)) return false;
   } else if (key == "allocator.reestimate_period") {
-    if (!parse_duration(value, &out->cfg.allocator.reestimate_period))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!nonnegative_duration(&out->cfg.allocator.reestimate_period)) return false;
   } else if (key == "allocator.max_whitespace") {
-    if (!parse_duration(value, &out->cfg.allocator.max_whitespace))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->cfg.allocator.max_whitespace)) return false;
   } else if (key == "signaling.control_payload") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.signaling.control_payload_bytes = static_cast<std::uint32_t>(i);
+    if (!integer(&out->cfg.signaling.control_payload_bytes, 1, kMaxZigbeePayload))
+      return false;
   } else if (key == "signaling.max_control_packets") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.signaling.max_control_packets = static_cast<int>(i);
+    if (!integer(&out->cfg.signaling.max_control_packets, 1, kIntMax)) return false;
   } else if (key == "signaling.control_gap") {
-    if (!parse_duration(value, &out->cfg.signaling.control_gap))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!nonnegative_duration(&out->cfg.signaling.control_gap)) return false;
   } else if (key == "signaling.ignored_backoff") {
-    if (!parse_duration(value, &out->cfg.signaling.ignored_backoff))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!nonnegative_duration(&out->cfg.signaling.ignored_backoff)) return false;
   } else if (key == "ecc.period") {
     if (!positive_duration(&out->cfg.ecc.period)) return false;
   } else if (key == "ecc.whitespace") {
+    // Checked against ecc.period once every entry has applied (config()).
     if (!parse_duration(value, &out->cfg.ecc.whitespace))
       return bad_value("a duration (us/ms/s suffix)");
   } else if (key == "ecc.emulation_power") {
@@ -444,20 +399,16 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->cfg.medium.max_tx_power_dbm = f;
   } else if (key == "dense.wifi_pairs") {
-    if (!parse_i64(value, &i) || i < 0) return bad_value("a non-negative integer");
-    out->cfg.dense.wifi_pairs = static_cast<int>(i);
+    if (!integer(&out->cfg.dense.wifi_pairs, 0, kMaxAllocCount)) return false;
   } else if (key == "dense.zigbee_links") {
-    if (!parse_i64(value, &i) || i < 0) return bad_value("a non-negative integer");
-    out->cfg.dense.zigbee_links = static_cast<int>(i);
+    if (!integer(&out->cfg.dense.zigbee_links, 0, kMaxAllocCount)) return false;
   } else if (key == "dense.ble_nodes") {
-    if (!parse_i64(value, &i) || i < 0) return bad_value("a non-negative integer");
-    out->cfg.dense.ble_nodes = static_cast<int>(i);
+    if (!integer(&out->cfg.dense.ble_nodes, 0, kMaxAllocCount)) return false;
   } else if (key == "dense.area") {
     if (!parse_f64(value, &f) || f <= 0.0) return bad_value("a positive edge in metres");
     out->cfg.dense.area_m = f;
   } else if (key == "dense.clusters") {
-    if (!parse_i64(value, &i) || i < 0) return bad_value("a non-negative integer");
-    out->cfg.dense.clusters = static_cast<int>(i);
+    if (!integer(&out->cfg.dense.clusters, 0, kMaxAllocCount)) return false;
   } else if (key == "dense.cluster_sigma") {
     if (!parse_f64(value, &f) || f <= 0.0) return bad_value("a positive sigma in metres");
     out->cfg.dense.cluster_sigma_m = f;
@@ -467,8 +418,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "dense.wifi_interval") {
     if (!positive_duration(&out->cfg.dense.wifi_interval)) return false;
   } else if (key == "dense.wifi_payload") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->cfg.dense.wifi_payload_bytes = static_cast<std::uint32_t>(i);
+    if (!integer(&out->cfg.dense.wifi_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "dense.wifi_power") {
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->cfg.dense.wifi_tx_power_dbm = f;
@@ -506,24 +456,20 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_bool(value, &b) || !b) return bad_value("'true'");
     out->cfg.extra_zigbee.clear();
   } else if (key == "ble.links") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->ble.ble_links = static_cast<int>(i);
+    if (!integer(&out->ble.ble_links, 1, kMaxAllocCount)) return false;
   } else if (key == "ble.coordinate") {
     if (!parse_bool(value, &b)) return bad_value("a boolean");
     out->ble.coordinate = b;
   } else if (key == "ble.connection_interval") {
-    if (!parse_duration(value, &out->ble.ble_connection_interval))
-      return bad_value("a duration (us/ms/s suffix)");
+    if (!positive_duration(&out->ble.ble_connection_interval)) return false;
   } else if (key == "ble.payload") {
-    if (!parse_i64(value, &i) || i <= 0) return bad_value("a positive integer");
-    out->ble.ble_payload_bytes = static_cast<std::uint32_t>(i);
+    if (!integer(&out->ble.ble_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "ble.tx_power") {
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->ble.ble_tx_power_dbm = f;
   } else if (key == "ble.zigbee_channel") {
-    if (!parse_i64(value, &i) || i < 11 || i > 26)
+    if (!parse_int(value, &out->ble.zigbee_channel, 11, 26))
       return bad_value("an 802.15.4 channel (11-26)");
-    out->ble.zigbee_channel = static_cast<int>(i);
   } else if (key == "lteu.duty") {
     if (!parse_f64(value, &f) || f <= 0.0 || f > 1.0)
       return bad_value("a duty fraction in (0, 1]");
@@ -898,6 +844,15 @@ std::optional<ScenarioConfig> ScenarioSpec::config(std::string* error) const {
       if (error != nullptr) *error = why;
       return std::nullopt;
     }
+  }
+  // Cross-key constraint, checked once so that key order does not matter.
+  const auto& ecc = low.cfg.ecc;
+  if (ecc.whitespace < Duration::zero() || ecc.whitespace >= ecc.period) {
+    if (error != nullptr) {
+      *error = "key 'ecc.whitespace': expected a duration in [0, ecc.period = " +
+               ecc.period.to_string() + "), got " + ecc.whitespace.to_string();
+    }
+    return std::nullopt;
   }
   return low.cfg;
 }

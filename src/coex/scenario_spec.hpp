@@ -13,6 +13,21 @@
 // DSL: one assignment per line, `#` starts a comment, later assignments win
 // (overrides compose in declaration order). Durations take a us/ms/s suffix.
 // Repeatable keys (`extra.link`, `fault.event`) append instead of replace.
+//
+// Value limits (config() fails naming the key; nothing is clamped):
+//   - numbers are read whole by util/parse.hpp: no trailing junk, nan or inf;
+//   - an integer must fit its field's type (int, uint32, uint64);
+//   - counts that size allocations (burst.packets and extra.link packets=,
+//     dense.wifi_pairs / zigbee_links / ble_nodes / clusters, ble.links) are
+//     at most 10,000 (kMaxAllocCount);
+//   - ZigBee payloads (burst.payload, signaling.control_payload, extra.link
+//     payload=) are 1..127 bytes, the largest 802.15.4 frame;
+//   - a duration's magnitude is at most 10^6 s (kMaxParsedDuration);
+//     periods, intervals and allocator.initial_whitespace / max_whitespace
+//     must be positive; gaps, margins and backoffs
+//     (allocator.end_of_burst_gap / control_duration / reestimate_period,
+//     signaling.control_gap / ignored_backoff) non-negative;
+//   - 0 <= ecc.whitespace < ecc.period, checked after every entry applies.
 
 #include <cstdint>
 #include <optional>

@@ -1,7 +1,9 @@
 #include "fault/fault_plan.hpp"
 
-#include <cctype>
+#include <limits>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 namespace bicord::fault {
 
@@ -46,30 +48,6 @@ std::optional<phy::Technology> parse_tech(const std::string& word) {
   return std::nullopt;
 }
 
-/// "250us" / "30ms" / "2s" / "1.5s" -> Duration.
-std::optional<Duration> parse_duration(const std::string& word) {
-  std::size_t unit = 0;
-  while (unit < word.size() &&
-         (std::isdigit(static_cast<unsigned char>(word[unit])) != 0 ||
-          word[unit] == '.' || word[unit] == '-')) {
-    ++unit;
-  }
-  if (unit == 0 || unit == word.size()) return std::nullopt;
-  double value = 0.0;
-  try {
-    std::size_t consumed = 0;
-    value = std::stod(word.substr(0, unit), &consumed);
-    if (consumed != unit) return std::nullopt;
-  } catch (...) {
-    return std::nullopt;
-  }
-  const std::string suffix = word.substr(unit);
-  if (suffix == "us") return Duration::from_us(static_cast<std::int64_t>(value));
-  if (suffix == "ms") return Duration::from_ms_f(value);
-  if (suffix == "s") return Duration::from_sec_f(value);
-  return std::nullopt;
-}
-
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
@@ -100,59 +78,38 @@ bool parse_event_line(const std::string& line, int line_no, FaultEvent* out,
     }
     const std::string key = word.substr(0, eq);
     const std::string value = word.substr(eq + 1);
-    const auto bad_value = [&] {
-      return fail(error, "line " + std::to_string(line_no) + ": bad value for '" + key +
-                             "': '" + value + "'");
-    };
+    bool ok = true;
     if (key == "at") {
-      const auto d = parse_duration(value);
-      if (!d) return bad_value();
-      ev.at = TimePoint::origin() + *d;
+      Duration d;
+      ok = parse_duration(value, &d);
+      ev.at = TimePoint::origin() + d;
       have_at = true;
     } else if (key == "window") {
-      const auto d = parse_duration(value);
-      if (!d) return bad_value();
-      ev.window = *d;
+      ok = parse_duration(value, &ev.window);
     } else if (key == "interval") {
-      const auto d = parse_duration(value);
-      if (!d) return bad_value();
-      ev.burst_interval = *d;
+      ok = parse_duration(value, &ev.burst_interval);
     } else if (key == "count") {
-      try {
-        ev.count = std::stoi(value);
-      } catch (...) {
-        return bad_value();
-      }
+      ok = parse_int(value, &ev.count);
     } else if (key == "packets") {
-      try {
-        ev.burst_packets = std::stoi(value);
-      } catch (...) {
-        return bad_value();
-      }
+      // The burst source allocates per packet, like burst.packets.
+      ok = parse_int(value, &ev.burst_packets, std::numeric_limits<int>::min(),
+                     kMaxAllocCount);
     } else if (key == "link") {
-      try {
-        ev.link = std::stoi(value);
-      } catch (...) {
-        return bad_value();
-      }
+      ok = parse_int(value, &ev.link);
     } else if (key == "prob") {
-      try {
-        ev.probability = std::stod(value);
-      } catch (...) {
-        return bad_value();
-      }
+      ok = parse_f64(value, &ev.probability);
     } else if (key == "mag") {
-      try {
-        ev.magnitude = std::stod(value);
-      } catch (...) {
-        return bad_value();
-      }
+      ok = parse_f64(value, &ev.magnitude);
     } else if (key == "tech") {
       const auto t = parse_tech(value);
-      if (!t) return bad_value();
-      ev.tech = *t;
+      ok = t.has_value();
+      if (ok) ev.tech = *t;
     } else {
       return fail(error, "line " + std::to_string(line_no) + ": unknown key '" + key + "'");
+    }
+    if (!ok) {
+      return fail(error, "line " + std::to_string(line_no) + ": bad value for '" + key +
+                             "': '" + value + "'");
     }
   }
   if (!have_at) {

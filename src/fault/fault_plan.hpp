@@ -106,8 +106,10 @@ class FaultPlan {
   /// Parses the text DSL: one event per line,
   ///   <kind> at=<time> [window=] [count=] [prob=] [mag=] [tech=]
   ///          [packets=] [interval=] [link=]
-  /// with duration suffixes us/ms/s; '#' starts a comment. Returns nullopt
-  /// (and fills *error) on malformed input.
+  /// with duration suffixes us/ms/s; '#' starts a comment. Values are read
+  /// whole by the util/parse.hpp readers (no trailing junk, nan or inf, and
+  /// an int token must fit an int; packets= is at most kMaxAllocCount).
+  /// Returns nullopt (and fills *error) on malformed input.
   [[nodiscard]] static std::optional<FaultPlan> parse(const std::string& text,
                                                      std::string* error = nullptr);
 

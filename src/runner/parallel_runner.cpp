@@ -47,7 +47,7 @@ std::vector<MetricSummary> ParallelExperimentRunner::run(int trials) {
 
   // Wall-clock reads below feed only the human-facing RunReport
   // (throughput); no simulation state depends on them, so the determinism
-  // rule is waived explicitly rather than baselined.
+  // rule is waived here.
   const auto wall_start = std::chrono::steady_clock::now();  // bicord-lint: allow(wall-clock)
   TrialPool pool(jobs);
   pool.run(n, [&](std::size_t i) {

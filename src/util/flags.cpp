@@ -1,10 +1,9 @@
 #include "util/flags.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace bicord {
 
@@ -18,36 +17,45 @@ const char* type_name(int t) {
     case 1: return "int";
     case 2: return "double";
     case 3: return "bool";
+    case 4: return "list";
   }
   return "?";
 }
 }  // namespace
 
+void Flags::add(const std::string& name, Type type, std::string value,
+                std::string help) {
+  Entry e;
+  e.type = type;
+  e.default_value = value;
+  e.value = std::move(value);
+  e.help = std::move(help);
+  entries_[name] = std::move(e);
+  order_.push_back(name);
+}
+
 void Flags::add_string(const std::string& name, std::string default_value,
                        std::string help) {
-  entries_[name] = Entry{Type::String, default_value, std::move(default_value),
-                         std::move(help), false};
-  order_.push_back(name);
+  add(name, Type::String, std::move(default_value), std::move(help));
 }
 
 void Flags::add_int(const std::string& name, std::int64_t default_value,
                     std::string help) {
-  const std::string v = std::to_string(default_value);
-  entries_[name] = Entry{Type::Int, v, v, std::move(help), false};
-  order_.push_back(name);
+  add(name, Type::Int, std::to_string(default_value), std::move(help));
 }
 
 void Flags::add_double(const std::string& name, double default_value, std::string help) {
   std::ostringstream os;
   os << default_value;
-  entries_[name] = Entry{Type::Double, os.str(), os.str(), std::move(help), false};
-  order_.push_back(name);
+  add(name, Type::Double, os.str(), std::move(help));
 }
 
 void Flags::add_bool(const std::string& name, bool default_value, std::string help) {
-  const std::string v = default_value ? "true" : "false";
-  entries_[name] = Entry{Type::Bool, v, v, std::move(help), false};
-  order_.push_back(name);
+  add(name, Type::Bool, default_value ? "true" : "false", std::move(help));
+}
+
+void Flags::add_list(const std::string& name, std::string help) {
+  add(name, Type::List, "", std::move(help));
 }
 
 bool Flags::assign(const std::string& name, const std::string& value) {
@@ -57,25 +65,21 @@ bool Flags::assign(const std::string& name, const std::string& value) {
     return false;
   }
   Entry& e = it->second;
+  std::int64_t i = 0;
+  double f = 0.0;
   switch (e.type) {
-    case Type::Int: {
-      char* end = nullptr;
-      (void)std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+    case Type::Int:
+      if (!parse_i64(value, &i)) {
         error_ = "flag --" + name + " expects an integer, got '" + value + "'";
         return false;
       }
       break;
-    }
-    case Type::Double: {
-      char* end = nullptr;
-      (void)std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        error_ = "flag --" + name + " expects a number, got '" + value + "'";
+    case Type::Double:
+      if (!parse_f64(value, &f)) {
+        error_ = "flag --" + name + " expects a finite number, got '" + value + "'";
         return false;
       }
       break;
-    }
     case Type::Bool:
       if (value != "true" && value != "false") {
         error_ = "flag --" + name + " expects true/false, got '" + value + "'";
@@ -83,6 +87,9 @@ bool Flags::assign(const std::string& name, const std::string& value) {
       }
       break;
     case Type::String:
+      break;
+    case Type::List:
+      e.values.push_back(value);
       break;
   }
   e.value = value;
@@ -152,11 +159,19 @@ const std::string& Flags::get_string(const std::string& name) const {
 }
 
 std::int64_t Flags::get_int(const std::string& name) const {
-  return std::strtoll(entry_of(name, Type::Int).value.c_str(), nullptr, 10);
+  std::int64_t v = 0;
+  (void)parse_i64(entry_of(name, Type::Int).value, &v);  // checked in assign()
+  return v;
 }
 
 double Flags::get_double(const std::string& name) const {
-  return std::strtod(entry_of(name, Type::Double).value.c_str(), nullptr);
+  double v = 0.0;
+  (void)parse_f64(entry_of(name, Type::Double).value, &v);  // checked in assign()
+  return v;
+}
+
+const std::vector<std::string>& Flags::get_list(const std::string& name) const {
+  return entry_of(name, Type::List).values;
 }
 
 bool Flags::get_bool(const std::string& name) const {
@@ -169,14 +184,9 @@ bool Flags::provided(const std::string& name) const {
 }
 
 std::optional<int> parse_positive_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return std::nullopt;  // junk / trailing
-  if (errno == ERANGE) return std::nullopt;                   // out of long range
-  if (v < 1 || v > std::numeric_limits<int>::max()) return std::nullopt;
-  return static_cast<int>(v);
+  int v = 0;
+  if (!parse_int(s, &v, 1)) return std::nullopt;
+  return v;
 }
 
 void add_jobs_flag(Flags& flags) {
@@ -191,9 +201,12 @@ std::string Flags::usage(const std::string& program_name) const {
   os << "usage: " << program_name << " [flags]\n\nflags:\n";
   for (const auto& name : order_) {
     const Entry& e = entries_.at(name);
-    os << "  --" << name;
-    os << " (" << type_name(static_cast<int>(e.type)) << ", default "
-       << (e.default_value.empty() ? "\"\"" : e.default_value) << ")\n";
+    os << "  --" << name << " (" << type_name(static_cast<int>(e.type));
+    if (e.type == Type::List) {
+      os << ", repeatable)\n";
+    } else {
+      os << ", default " << (e.default_value.empty() ? "\"\"" : e.default_value) << ")\n";
+    }
     os << "      " << e.help << "\n";
   }
   return os.str();

@@ -4,6 +4,8 @@
 // Supports `--name value`, `--name=value`, and boolean `--name` /
 // `--no-name`. Flags are registered with defaults and a help line;
 // `parse()` validates everything and produces a formatted usage text.
+// Numbers go through the strict readers of util/parse.hpp. A repeated flag
+// keeps its last value, except a list flag, which keeps every value.
 
 #include <cstdint>
 #include <map>
@@ -23,6 +25,8 @@ class Flags {
   void add_int(const std::string& name, std::int64_t default_value, std::string help);
   void add_double(const std::string& name, double default_value, std::string help);
   void add_bool(const std::string& name, bool default_value, std::string help);
+  /// A repeatable string flag: every occurrence is kept, in command-line order.
+  void add_list(const std::string& name, std::string help);
 
   /// Parses argv. Returns false (and fills error()) on unknown flags, type
   /// mismatches, or missing values. `--help` sets help_requested().
@@ -32,6 +36,7 @@ class Flags {
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
+  [[nodiscard]] const std::vector<std::string>& get_list(const std::string& name) const;
   /// True if the user supplied the flag explicitly (vs default).
   [[nodiscard]] bool provided(const std::string& name) const;
 
@@ -42,15 +47,17 @@ class Flags {
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
  private:
-  enum class Type { String, Int, Double, Bool };
+  enum class Type { String, Int, Double, Bool, List };
   struct Entry {
-    Type type;
+    Type type = Type::String;
     std::string value;
     std::string default_value;
     std::string help;
     bool provided = false;
+    std::vector<std::string> values;  ///< every occurrence of a List flag
   };
 
+  void add(const std::string& name, Type type, std::string value, std::string help);
   [[nodiscard]] const Entry& entry_of(const std::string& name, Type expected) const;
   bool assign(const std::string& name, const std::string& value);
 

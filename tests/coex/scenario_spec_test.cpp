@@ -231,7 +231,9 @@ TEST(ScenarioSpecTest, DurationKeysMustBePositive) {
   for (const char* key :
        {"election.grace", "burst.interval", "ecc.period", "ecc.emulation_airtime",
         "mobility.device_period", "wifi.cbr_interval", "dense.wifi_interval",
-        "wifi.priority_cycle", "lteu.period", "tsch.hop_period"}) {
+        "wifi.priority_cycle", "lteu.period", "tsch.hop_period",
+        "allocator.initial_whitespace", "allocator.max_whitespace",
+        "ble.connection_interval"}) {
     for (const char* value : {"0us", "-5ms", "soon"}) {
       const std::string text = std::string(key) + " = " + value + "\n";
       auto spec = ScenarioSpec::parse(text, &error);
@@ -244,6 +246,116 @@ TEST(ScenarioSpecTest, DurationKeysMustBePositive) {
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_FALSE(spec->config(&error).has_value());
   EXPECT_NE(error.find("interval"), std::string::npos) << error;
+}
+
+TEST(ScenarioSpecTest, GapKeysMustBeNonNegative) {
+  // Zero means "no gap" and stays legal (bench_ablation_estimator sweeps
+  // allocator.control_duration from 0); a negative delay aborted the
+  // simulator mid-run.
+  std::string error;
+  for (const char* key :
+       {"allocator.end_of_burst_gap", "allocator.control_duration",
+        "allocator.reestimate_period", "signaling.control_gap",
+        "signaling.ignored_backoff"}) {
+    for (const char* value : {"-1ms", "-1us", "soon"}) {
+      const std::string text = std::string(key) + " = " + value + "\n";
+      auto spec = ScenarioSpec::parse(text, &error);
+      ASSERT_TRUE(spec.has_value()) << text;
+      EXPECT_FALSE(spec->config(&error).has_value()) << text;
+      EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    const std::string zero = std::string(key) + " = 0us\n";
+    auto spec = ScenarioSpec::parse(zero, &error);
+    ASSERT_TRUE(spec.has_value()) << zero;
+    EXPECT_TRUE(spec->config(&error).has_value()) << zero << error;
+  }
+}
+
+TEST(ScenarioSpecTest, DurationsAboveAMillionSecondsAreRejected) {
+  // 9e12 s overflowed `now + d` (an abort), and 1e300 s overflowed the
+  // microsecond conversion itself.
+  std::string error;
+  for (const char* bad :
+       {"burst.interval = 9e12s\n", "allocator.max_whitespace = 1e300s\n",
+        "allocator.reestimate_period = 1000001s\n",
+        "ecc.whitespace = -1e13ms\n"}) {
+    auto spec = ScenarioSpec::parse(bad, &error);
+    ASSERT_TRUE(spec.has_value()) << bad;
+    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
+    const std::string text(bad);
+    EXPECT_NE(error.find(text.substr(0, text.find(' '))), std::string::npos) << error;
+  }
+  auto spec = ScenarioSpec::parse("allocator.reestimate_period = 1000000s\n", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_TRUE(spec->config(&error).has_value()) << error;
+}
+
+TEST(ScenarioSpecTest, IntegerKeysRejectValuesTheirFieldCannotHold) {
+  // Each of these used to narrow through a static_cast: 9999999999 packets
+  // became 1,410,065,407 per burst, and the dense counts exhausted memory.
+  std::string error;
+  for (const char* bad :
+       {"burst.packets = 9999999999\n", "burst.packets = 2147483647\n",
+        "burst.packets = 10001\n", "dense.wifi_pairs = 9999999999\n",
+        "dense.zigbee_links = 10001\n", "dense.ble_nodes = 10001\n",
+        "dense.clusters = 2147483647\n", "ble.links = 10001\n",
+        "wifi.payload = 4294967296\n", "dense.wifi_payload = -1\n",
+        "signaling.max_control_packets = 2147483648\n",
+        "seed = 18446744073709551616\n", "dense.seed = -1\n",
+        "burst.payload = 100000\n", "burst.payload = 128\n",
+        "signaling.control_payload = 100000\n",
+        "extra.link = loc=C packets=10001\n", "extra.link = loc=C payload=128\n",
+        "fault.event = burst-shift at=500ms packets=2000000000 interval=100ms\n"}) {
+    auto spec = ScenarioSpec::parse(bad, &error);
+    ASSERT_TRUE(spec.has_value()) << bad;
+    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
+    const std::string text(bad);
+    EXPECT_NE(error.find(text.substr(0, text.find(' '))), std::string::npos) << error;
+  }
+  // The limits themselves are legal: 127 B is the largest 802.15.4 frame,
+  // and the paper's 120 B control packet must fit.
+  for (const char* good :
+       {"burst.packets = 10000\n", "dense.wifi_pairs = 10000\n",
+        "burst.payload = 127\n", "signaling.control_payload = 120\n",
+        "extra.link = loc=C packets=10000 payload=127\n",
+        "seed = 18446744073709551615\n"}) {
+    auto spec = ScenarioSpec::parse(good, &error);
+    ASSERT_TRUE(spec.has_value()) << good;
+    EXPECT_TRUE(spec->config(&error).has_value()) << good << error;
+  }
+}
+
+TEST(ScenarioSpecTest, EccWhitespaceMustFitItsPeriodInAnyKeyOrder) {
+  std::string error;
+  // 200 ms against the default 100 ms period, a full period, and negative.
+  for (const char* bad :
+       {"ecc.whitespace = 200ms\n", "ecc.whitespace = 100ms\n",
+        "ecc.whitespace = -1ms\n",
+        "ecc.period = 300ms\necc.whitespace = 200ms\necc.period = 150ms\n"}) {
+    auto spec = ScenarioSpec::parse(bad, &error);
+    ASSERT_TRUE(spec.has_value()) << bad;
+    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
+    EXPECT_NE(error.find("ecc.whitespace"), std::string::npos) << error;
+  }
+  // The check runs once after every entry, so key order does not matter,
+  // and zero (the BiCord/CSMA rows of bench_fig10) stays legal.
+  for (const char* good :
+       {"ecc.period = 300ms\necc.whitespace = 200ms\n",
+        "ecc.whitespace = 200ms\necc.period = 300ms\n", "ecc.whitespace = 0us\n"}) {
+    auto spec = ScenarioSpec::parse(good, &error);
+    ASSERT_TRUE(spec.has_value()) << good;
+    EXPECT_TRUE(spec->config(&error).has_value()) << good << error;
+  }
+}
+
+TEST(ScenarioSpecTest, UnknownCoordinationListsEveryScheme) {
+  std::string error;
+  auto spec = ScenarioSpec::parse("coordination = foo\n", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_FALSE(spec->config(&error).has_value());
+  for (const char* scheme : {"bicord", "ecc", "csma", "lteu", "tsch"}) {
+    EXPECT_NE(error.find(scheme), std::string::npos) << error;
+  }
 }
 
 TEST(ScenarioSpecTest, NonFiniteNumbersAndSubMetreCellsAreRejected) {

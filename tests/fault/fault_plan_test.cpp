@@ -72,6 +72,30 @@ TEST(FaultPlanTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(FaultPlan::parse("cts-loss at=1s count=two", &error).has_value());
   EXPECT_FALSE(FaultPlan::parse("cts-loss at=1s bogus=1", &error).has_value());
   EXPECT_FALSE(FaultPlan::parse("frame-corrupt at=1s tech=lte", &error).has_value());
+
+  // Values are read whole: a valid prefix, nan/inf, or a value its field
+  // cannot hold is an error, not a silently truncated run.
+  for (const char* bad :
+       {"cts-loss at=1s count=3abc", "frame-corrupt at=1s prob=0.5xyz",
+        "frame-corrupt at=1s prob=nan", "rssi-glitch at=1s mag=inf",
+        "cts-loss at=1sx", "cts-loss at=1s count=9999999999",
+        "node-leave at=1s link=2147483648",
+        "burst-shift at=500ms packets=2000000000 interval=100ms",
+        "burst-shift at=500ms packets=10001", "cts-loss at=9e12s"}) {
+    EXPECT_FALSE(FaultPlan::parse(bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+  }
+}
+
+TEST(FaultPlanTest, TimesRoundLikeSpecDurations) {
+  // The fault DSL shares the spec's duration reader: a fractional
+  // microsecond rounds to the nearest one instead of truncating.
+  const auto plan = FaultPlan::parse(
+      "cts-loss at=1.5us\nburst-shift at=500ms packets=10000 interval=0.5ms\n");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->events()[0].at, TimePoint::from_us(2));
+  EXPECT_EQ(plan->events()[1].burst_packets, 10000);
+  EXPECT_EQ(plan->events()[1].burst_interval, 500_us);
 }
 
 TEST(FaultPlanTest, ParseAcceptsCommentsAndBlankLines) {

@@ -83,6 +83,43 @@ TEST(BicordsimCliTest, InfiniteCellSizeExitsWithUsageError) {
   EXPECT_NE(r.output.find("medium.cell"), std::string::npos) << r.output;
 }
 
+TEST(BicordsimCliTest, RepeatedSetAppendsInCommandLineOrder) {
+  // The second --set used to replace the first, so this ran BiCord.
+  const Result r = run_sim("--set coordination=ecc --set seed=7 --seconds 1",
+                           /*stdout_only=*/true);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("scheme=ECC"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("seed=7,"), std::string::npos) << r.output;
+}
+
+TEST(BicordsimCliTest, ZeroSecondsWithRepeatExitsWithUsageError) {
+  // Used to abort (134) on ExperimentRunner's positive-window check.
+  const Result r = run_sim("--seconds 0 --repeat 2");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--seconds"), std::string::npos) << r.output;
+}
+
+TEST(BicordsimCliTest, NegativeSecondsExitsWithUsageError) {
+  // Used to print "-5s measured" over an all-zero table.
+  const Result r = run_sim("--seconds -5");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--seconds"), std::string::npos) << r.output;
+}
+
+TEST(BicordsimCliTest, OverflowingSecondsExitsWithUsageError) {
+  // Used to clamp to "9223372036854775807s measured" over an all-zero table.
+  const Result r = run_sim("--seconds 99999999999999999999");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--seconds"), std::string::npos) << r.output;
+}
+
+TEST(BicordsimCliTest, OversizedBurstPacketsFlagExitsWithUsageError) {
+  // The flag's int64 reaches the spec unnarrowed, so the spec's limit sees it.
+  const Result r = run_sim("--burst-packets 9999999999 --seconds 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("burst.packets"), std::string::npos) << r.output;
+}
+
 TEST(BicordsimCliTest, RepeatStdoutIsByteIdenticalAcrossRuns) {
   // Wall time and throughput differ run to run, so they stay off stdout.
   const std::string args = "--scenario fig10 --repeat 2 --seconds 1 --jobs 2";

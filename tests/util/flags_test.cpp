@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace bicord {
 namespace {
 
@@ -91,6 +95,42 @@ TEST(FlagsTest, RejectsTypeMismatch) {
   Flags h = make_flags();
   const auto argv3 = argv_of({"--verbose=maybe"});
   EXPECT_FALSE(h.parse(static_cast<int>(argv3.size()), argv3.data()));
+}
+
+TEST(FlagsTest, RejectsOverflowAndNonFiniteNumbers) {
+  // strtoll/strtod clamped or accepted these; `--burst-interval-ms nan`
+  // then reached the spec as "-9223372036854775808us".
+  for (const char* arg : {"--count=99999999999999999999", "--count=3abc",
+                          "--ratio=nan", "--ratio=inf", "--ratio=-INF", "--ratio=1e400",
+                          "--ratio=0.5xyz"}) {
+    Flags f = make_flags();
+    const auto argv = argv_of({arg});
+    EXPECT_FALSE(f.parse(static_cast<int>(argv.size()), argv.data())) << arg;
+    EXPECT_NE(f.error().find("expects"), std::string::npos) << f.error();
+  }
+  Flags f = make_flags();
+  const auto argv = argv_of({"--count=9223372036854775807", "--ratio=+2.5"});
+  ASSERT_TRUE(f.parse(static_cast<int>(argv.size()), argv.data())) << f.error();
+  EXPECT_EQ(f.get_int("count"), INT64_MAX);
+  EXPECT_DOUBLE_EQ(f.get_double("ratio"), 2.5);
+}
+
+TEST(FlagsTest, ListFlagKeepsEveryValueInOrder) {
+  Flags f = make_flags();
+  f.add_list("set", "repeatable");
+  const auto argv = argv_of({"--set", "a=1", "--name", "x", "--set=b=2", "--set", "a=3"});
+  ASSERT_TRUE(f.parse(static_cast<int>(argv.size()), argv.data())) << f.error();
+  EXPECT_EQ(f.get_list("set"), (std::vector<std::string>{"a=1", "b=2", "a=3"}));
+  EXPECT_TRUE(f.provided("set"));
+  // A plain flag still keeps only its last value.
+  EXPECT_EQ(f.get_string("name"), "x");
+  EXPECT_NE(f.usage("prog").find("--set (list, repeatable)"), std::string::npos);
+
+  Flags g = make_flags();
+  g.add_list("set", "repeatable");
+  const auto none = argv_of({});
+  ASSERT_TRUE(g.parse(static_cast<int>(none.size()), none.data()));
+  EXPECT_TRUE(g.get_list("set").empty());
 }
 
 TEST(FlagsTest, RejectsMissingValue) {

@@ -1,15 +1,11 @@
-// bicord-lint v2: the project-aware analyzer clang-tidy cannot replace.
+// bicord-lint: the project-aware analyzer clang-tidy cannot replace.
 //
 // Encodes BiCord-specific static rules — the determinism contract
 // (DESIGN.md Sec. 7) and the callback-lifetime lessons of the PR-3
-// EventQueue use-after-free — as a two-pass analysis over the source tree.
-//
-//   pass 1  builds a per-TU model from the comment/string-stripped token
-//           stream: resolved `#include "module/file.hpp"` edges (against
-//           --src-root) and a lightweight symbol table (float/double names
-//           and unordered-container names).
-//   pass 2  runs cross-file rules over the merged model: the include-graph
-//           layering DAG (declared in scripts/layering.txt).
+// EventQueue use-after-free — as one pass per file over the source tree:
+// each file's comment/string-stripped token stream, its quoted
+// `#include "module/file.hpp"` lines, and a lightweight symbol table
+// (float/double names and unordered-container names).
 //
 // It is deliberately not a real C++ parser: every rule is chosen so that a
 // stripped token scan decides it with near-zero false positives on this
@@ -40,10 +36,12 @@
 //                          indexed container storage (slots_[i].callback(...))
 //                          — the exact PR-3 bug shape; move it to a local first
 //   structure (src/ only, needs --layering)
-//     layering             an include chain that crosses the module DAG in
+//     layering             an #include that crosses the module DAG in
 //                          scripts/layering.txt — e.g. core must not include
-//                          wifi/ble/zigbee/coex; violations print the full
-//                          include chain
+//                          wifi/ble/zigbee/coex — or a src/ module with no
+//                          entry there. A layering file that is not
+//                          transitively closed is rejected on load, so each
+//                          file's own includes decide every include chain
 //   hygiene (everywhere scanned)
 //     pragma-once            every header starts with #pragma once
 //     using-namespace-header no `using namespace` at header scope
@@ -56,23 +54,14 @@
 //     thread-outside-pool    (src/ outside src/runner/) naming
 //                            std::thread / std::jthread / std::async
 //
-// Fingerprints are rule-tagged — `rule:path:token-hash:occurrence` — so the
-// ratchet baseline can grow/shrink per rule: --write-baseline --rule NAME
-// rewrites only that rule's entries and leaves every other rule's slice of
-// the baseline byte-identical (refreshing one rule cannot quietly absorb a
-// regression in another). --json emits the machine-readable finding list
-// consumed by scripts/lint.sh.
+// Any finding fails; there is no suppression file. A deliberate exception is
+// waived in place with allow().
 //
-// Baseline ratchet: --baseline FILE suppresses the findings fingerprinted in
-// FILE; anything new fails (exit 2). --write-baseline refuses to grow the
-// committed set (exit 3), so the baseline can only shrink over time.
-//
-// Exit codes: 0 clean (or all findings baselined), 1 usage/IO error,
-//             2 new findings, 3 baseline ratchet violation.
+// Exit codes: 0 clean, 1 usage/IO error (including a layering file that is
+//             not transitively closed), 2 findings.
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -92,7 +81,6 @@ struct Finding {
   std::size_t line;   // 1-based
   std::string rule;
   std::string message;
-  std::string fingerprint;  // rule:path:token-hash:occurrence
 };
 
 const std::vector<std::string> kAllRules = {
@@ -138,25 +126,11 @@ bool is_header(const std::string& path) {
                              path.rfind(".h") == path.size() - 2);
 }
 
-/// FNV-1a over the trimmed token text: the line-number-free core of a
-/// fingerprint. 16 hex chars keeps baselines grep-able and diff-stable.
-std::string token_hash(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-// --- pass 1: file loading / token stripping ---------------------------------
+// --- file loading / token stripping -----------------------------------------
 
 struct IncludeRef {
   std::size_t line = 0;      // 0-based
@@ -389,11 +363,10 @@ std::size_t match_forward(const std::string& text, std::size_t open) {
   return std::string::npos;
 }
 
-// --- pass 1: the per-TU model -----------------------------------------------
+// --- the per-TU model -------------------------------------------------------
 
 struct TuModel {
-  std::string path;    // normalized, as given
-  std::string module;  // first dir under --src-root, or "" outside src
+  std::string path;  // normalized, as given
   FileView view;
   Buffer buf;
   std::set<std::string> fp_names;         // names declared float/double
@@ -432,12 +405,13 @@ TuModel build_model(const std::string& path, bool* ok) {
   return model;
 }
 
-// --- pass 2: the layering DAG -----------------------------------------------
+// --- the layering DAG -------------------------------------------------------
 
 /// scripts/layering.txt: one line per module, `module: dep dep …` — the
-/// module may include itself plus the listed modules. Keep the lists
-/// transitively closed; the analyzer additionally walks chains so a
-/// non-closed DAG still reports the full include path of an escape.
+/// module may include itself plus the listed modules. The lists must be
+/// transitively closed: then a chain of individually allowed includes can
+/// never reach a forbidden module, and checking each file's own includes
+/// covers every chain.
 struct LayerConfig {
   std::map<std::string, std::set<std::string>> deps;
   bool loaded = false;
@@ -474,6 +448,19 @@ bool load_layering(const std::string& path, LayerConfig* cfg,
     std::string dep;
     while (ss >> dep) deps.insert(dep);
   }
+  for (const auto& [module, deps] : cfg->deps) {
+    for (const auto& dep : deps) {
+      const auto it = cfg->deps.find(dep);
+      if (it == cfg->deps.end()) continue;
+      for (const auto& reach : it->second) {
+        if (reach == module || deps.count(reach)) continue;
+        *error = path + " is not transitively closed: `" + module +
+                 "` lists `" + dep + "`, which lists `" + reach + "`, so `" +
+                 module + "` must list `" + reach + "` too";
+        return false;
+      }
+    }
+  }
   cfg->loaded = true;
   return true;
 }
@@ -493,7 +480,6 @@ class Linter {
       io_error_ = true;
       return;
     }
-    model.module = module_of(model.path);
     const std::string& norm = model.path;
     const FileView& v = model.view;
     for (const auto& w : v.unknown_allows) {
@@ -501,7 +487,6 @@ class Linter {
                    "%s:%zu: warning: bicord-lint allow() names unknown rule "
                    "'%s' (see --list-rules); nothing is waived by it\n",
                    norm.c_str(), w.line + 1, w.rule.c_str());
-      ++unknown_allow_warnings_;
     }
     const bool core = path_has_segment(norm, "src");
     const bool detector = norm.find("src/detect/") != std::string::npos ||
@@ -529,68 +514,30 @@ class Linter {
       check_grant_issue(model);
     }
     if (core && !pool_home) check_thread_outside_pool(model);
-
-    // The include graph keeps the full FileView of every node (scanned or
-    // pulled in lazily) so layering chains and edge waivers resolve even
-    // when only a subset of the tree is scanned (lint-fast).
-    if (layering_.loaded) register_graph_node(model.path, model.view);
-    scanned_.push_back({model.path, model.module});
+    if (layering_.loaded) check_layering(model);
   }
 
-  [[nodiscard]] const std::vector<Finding>& findings() const { return findings_; }
-  [[nodiscard]] bool io_error() const { return io_error_; }
-  [[nodiscard]] std::size_t unknown_allow_warnings() const {
-    return unknown_allow_warnings_;
-  }
-
-  /// Pass 2 (cross-file rules) + occurrence-indexed rule-tagged fingerprints
-  /// (stable across unrelated edits: no line numbers, just rule/path/token
-  /// hash).
-  void finalize() {
-    if (layering_.loaded) check_layering();
-    std::stable_sort(findings_.begin(), findings_.end(),
+  /// Every finding so far, ordered by path and line.
+  [[nodiscard]] std::vector<Finding> sorted_findings() const {
+    std::vector<Finding> out = findings_;
+    std::stable_sort(out.begin(), out.end(),
                      [](const Finding& a, const Finding& b) {
                        if (a.path != b.path) return a.path < b.path;
                        return a.line < b.line;
                      });
-    std::map<std::string, int> seen;
-    for (auto& f : findings_) {
-      const std::string base =
-          f.rule + ":" + f.path + ":" + token_hash(trim(f.message));
-      f.fingerprint = base + ":" + std::to_string(seen[base]++);
-    }
+    return out;
   }
+  [[nodiscard]] bool io_error() const { return io_error_; }
 
  private:
-  struct ScannedFile {
-    std::string path;
-    std::string module;
-  };
-
-  struct GraphEdge {
-    std::string to;     // node key of the included file
-    std::size_t line;   // 0-based include line in the includer
-    bool waived;        // allow(layering) on/above the include line
-  };
-
-  struct GraphNode {
-    std::string module;
-    std::vector<GraphEdge> edges;
-  };
-
   // --- shared reporting ----------------------------------------------------
 
   void report(const TuModel& m, std::size_t line_idx, const std::string& rule,
               const std::string& what) {
-    report_at(m.path, m.view, line_idx, rule, what);
-  }
-
-  void report_at(const std::string& path, const FileView& v,
-                 std::size_t line_idx, const std::string& rule,
-                 const std::string& what) {
+    const FileView& v = m.view;
     if (line_idx < v.allowed.size() && v.allowed[line_idx].count(rule)) return;
     Finding f;
-    f.path = path;
+    f.path = m.path;
     f.line = line_idx + 1;
     f.rule = rule;
     f.message = what;
@@ -881,10 +828,10 @@ class Linter {
     }
   }
 
-  // --- layering (cross-file, pass 2) ---------------------------------------
+  // --- layering ------------------------------------------------------------
 
+  /// First directory under --src-root, or "" for paths outside it.
   [[nodiscard]] std::string module_of(const std::string& path) const {
-    if (src_root_.empty()) return "";
     const std::string norm = normalize_path(
         fs::path(path).lexically_normal().generic_string());
     const std::string root = normalize_path(
@@ -896,264 +843,74 @@ class Linter {
     return rest.substr(0, slash);
   }
 
-  [[nodiscard]] static std::string node_key(const std::string& path) {
-    return normalize_path(fs::path(path).lexically_normal().generic_string());
-  }
-
-  /// Resolves a quoted include against --src-root, then the includer's own
-  /// directory. Returns "" for external/system-ish targets.
-  [[nodiscard]] std::string resolve_include(const std::string& includer,
-                                            const std::string& target) const {
-    if (!src_root_.empty()) {
-      const fs::path p = fs::path(src_root_) / target;
-      std::error_code ec;
-      if (fs::is_regular_file(p, ec)) return node_key(p.generic_string());
-    }
-    const fs::path sibling = fs::path(includer).parent_path() / target;
+  /// Module of a quoted include, resolved against --src-root, then the
+  /// includer's own directory; "" for external/system-ish targets.
+  [[nodiscard]] std::string include_module(const std::string& includer,
+                                           const std::string& target) const {
     std::error_code ec;
-    if (fs::is_regular_file(sibling, ec)) {
-      return node_key(sibling.generic_string());
-    }
+    const fs::path rooted = fs::path(src_root_) / target;
+    if (fs::is_regular_file(rooted, ec)) return module_of(rooted.generic_string());
+    const fs::path sibling = fs::path(includer).parent_path() / target;
+    if (fs::is_regular_file(sibling, ec)) return module_of(sibling.generic_string());
     return "";
   }
 
-  /// Adds `path` to the include graph (parsing it if needed) and pulls in
-  /// everything it reaches, so chains through unscanned files still resolve.
-  void register_graph_node(const std::string& path, const FileView& view) {
-    const std::string key = node_key(path);
-    if (graph_.count(key)) return;
-    GraphNode node;
-    node.module = module_of(path);
-    for (const auto& inc : view.includes) {
-      const std::string to = resolve_include(path, inc.target);
-      if (to.empty()) continue;
-      GraphEdge edge;
-      edge.to = to;
-      edge.line = inc.line;
-      edge.waived = inc.line < view.allowed.size() &&
-                    view.allowed[inc.line].count("layering") > 0;
-      node.edges.push_back(std::move(edge));
-    }
-    graph_.emplace(key, std::move(node));
-    graph_views_.emplace(key, view);
-    for (const auto& edge : graph_.at(key).edges) load_graph_node(edge.to);
-  }
-
-  void load_graph_node(const std::string& key) {
-    if (graph_.count(key)) return;
-    bool ok = false;
-    FileView view = load_file(key, &ok);
-    if (!ok) {
-      graph_.emplace(key, GraphNode{});  // unreadable: leaf node
+  void check_layering(const TuModel& m) {
+    const std::string module = module_of(m.path);
+    if (module.empty()) return;  // layering constrains src/ modules only
+    const auto own = layering_.deps.find(module);
+    if (own == layering_.deps.end()) {
+      report(m, 0, "layering",
+             "module `" + module +
+                 "` has no entry in the layering file (list it with the "
+                 "modules it may include)");
       return;
     }
-    register_graph_node(key, view);
-  }
-
-  [[nodiscard]] bool layer_allows(const std::string& from,
-                                  const std::string& to) {
-    if (from == to) return true;
-    const auto it = layering_.deps.find(from);
-    if (it == layering_.deps.end()) {
-      if (warned_modules_.insert(from).second) {
-        std::fprintf(stderr,
-                     "bicord-lint: warning: module '%s' has no entry in the "
-                     "layering file — its includes are unconstrained\n",
-                     from.c_str());
-      }
-      return true;
-    }
-    return it->second.count(to) > 0;
-  }
-
-  [[nodiscard]] static std::string chain_to_string(
-      const std::vector<std::string>& chain) {
-    std::string out;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      if (i) out += " -> ";
-      out += chain[i];
-    }
-    return out;
-  }
-
-  void check_layering() {
-    for (const auto& sf : scanned_) {
-      if (sf.module.empty()) continue;  // layering constrains src/ modules only
-      const std::string start = node_key(sf.path);
-      const auto node_it = graph_.find(start);
-      if (node_it == graph_.end()) continue;
-      const FileView& view = graph_views_.at(start);
-
-      // Direct edges: the include line itself is the violation site.
-      for (const auto& edge : node_it->second.edges) {
-        if (edge.waived) continue;
-        const std::string to_module = graph_.at(edge.to).module;
-        if (to_module.empty()) continue;
-        if (layer_allows(sf.module, to_module)) continue;
-        report_at(sf.path, view, edge.line, "layering",
-                  "include chain " + start + " -> " + edge.to +
-                      " crosses the layering DAG (module `" + sf.module +
-                      "` may not depend on `" + to_module + "`)");
-      }
-
-      // Transitive chains: walk pairwise-allowed, unwaived edges only — a
-      // pairwise-disallowed edge is its owner's direct violation, and a
-      // waived edge insulates its consumers. What remains is the
-      // non-transitively-closed-DAG escape: every hop is allowed but the
-      // endpoints are not. One report per offending target module, with the
-      // full chain.
-      std::set<std::string> visited{start};
-      std::set<std::string> reported_modules;
-      std::vector<std::vector<std::string>> frontier{{start}};
-      while (!frontier.empty()) {
-        std::vector<std::vector<std::string>> next;
-        for (const auto& chain : frontier) {
-          const auto it = graph_.find(chain.back());
-          if (it == graph_.end()) continue;
-          const std::string from_module = it->second.module;
-          for (const auto& edge : it->second.edges) {
-            if (edge.waived || visited.count(edge.to)) continue;
-            const std::string to_module = graph_.at(edge.to).module;
-            if (!to_module.empty() && !from_module.empty() &&
-                !layer_allows(from_module, to_module)) {
-              continue;  // the owner's direct violation, not this chain's
-            }
-            visited.insert(edge.to);
-            std::vector<std::string> grown = chain;
-            grown.push_back(edge.to);
-            if (!to_module.empty() && grown.size() > 2 &&
-                !layer_allows(sf.module, to_module) &&
-                reported_modules.insert(to_module).second) {
-              // Blame the first hop out of this file: that include pulled
-              // the chain in.
-              std::size_t line = 0;
-              for (const auto& edge0 : node_it->second.edges) {
-                if (node_key(edge0.to) == node_key(grown[1])) {
-                  line = edge0.line;
-                  break;
-                }
-              }
-              report_at(sf.path, view, line, "layering",
-                        "include chain " + chain_to_string(grown) +
-                            " crosses the layering DAG (module `" + sf.module +
-                            "` may not depend on `" + to_module + "`)");
-            }
-            next.push_back(std::move(grown));
-          }
-        }
-        frontier = std::move(next);
-      }
+    for (const auto& inc : m.view.includes) {
+      const std::string to = include_module(m.path, inc.target);
+      if (to.empty() || to == module || own->second.count(to)) continue;
+      report(m, inc.line, "layering",
+             "#include \"" + inc.target + "\" crosses the layering DAG (module `" +
+                 module + "` may not depend on `" + to + "`)");
     }
   }
 
   std::string src_root_;
   LayerConfig layering_;
   std::vector<Finding> findings_;
-  std::vector<ScannedFile> scanned_;
-  std::map<std::string, GraphNode> graph_;
-  std::map<std::string, FileView> graph_views_;
-  std::set<std::string> warned_modules_;
   bool io_error_ = false;
-  std::size_t unknown_allow_warnings_ = 0;
 };
-
-// --- baseline / output ------------------------------------------------------
-
-std::set<std::string> read_baseline(const std::string& path, bool* exists) {
-  std::set<std::string> out;
-  std::ifstream in(path);
-  *exists = static_cast<bool>(in);
-  std::string line;
-  while (std::getline(in, line)) {
-    line = trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    out.insert(line);
-  }
-  return out;
-}
-
-bool fingerprint_has_rule(const std::string& fp, const std::string& rule) {
-  return fp.rfind(rule + ":", 0) == 0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 int usage() {
   std::fprintf(
       stderr,
-      "usage: bicord_lint [--baseline FILE] [--write-baseline] [--rule NAME]\n"
-      "                   [--layering FILE] [--src-root DIR] [--json]\n"
-      "                   [--list-rules] PATH...\n"
-      "  PATH          file or directory (scans *.hpp/*.h/*.cpp)\n"
-      "  --baseline    suppress fingerprints listed in FILE; new findings\n"
-      "                exit 2\n"
-      "  --write-baseline  rewrite FILE from current findings; grows are\n"
-      "                rejected (exit 3) — the ratchet only shrinks\n"
-      "  --rule NAME   with --write-baseline: rewrite only NAME's entries,\n"
-      "                leaving every other rule's slice byte-identical\n"
+      "usage: bicord_lint [--layering FILE] [--src-root DIR] [--list-rules]\n"
+      "                   PATH...\n"
+      "  PATH          file or directory (scans *.hpp/*.h/*.cpp); any\n"
+      "                finding exits 2\n"
       "  --layering    enable the `layering` rule against the module DAG in\n"
-      "                FILE (scripts/layering.txt)\n"
-      "  --src-root    resolve quoted includes against DIR (inferred from\n"
-      "                the first scanned path containing a src/ component)\n"
-      "  --json        machine-readable findings on stdout\n");
+      "                FILE (scripts/layering.txt), which must be\n"
+      "                transitively closed\n"
+      "  --src-root    the directory whose subdirectories are the layering\n"
+      "                modules (default: src)\n"
+      "  --list-rules  print every rule name and exit\n");
   return 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
   std::string layering_path;
-  std::string src_root;
-  std::string rule_scope;
-  bool write_baseline = false;
-  bool json = false;
+  std::string src_root = "src";
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--baseline") {
-      if (++i >= argc) return usage();
-      baseline_path = argv[i];
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--rule") {
-      if (++i >= argc) return usage();
-      rule_scope = argv[i];
-      if (!is_known_rule(rule_scope)) {
-        std::fprintf(stderr, "bicord-lint: unknown rule '%s' (see --list-rules)\n",
-                     rule_scope.c_str());
-        return 1;
-      }
-    } else if (arg == "--layering") {
+    if (arg == "--layering") {
       if (++i >= argc) return usage();
       layering_path = argv[i];
     } else if (arg == "--src-root") {
       if (++i >= argc) return usage();
       src_root = argv[i];
-    } else if (arg == "--json") {
-      json = true;
     } else if (arg == "--list-rules") {
       for (const auto& r : kAllRules) std::printf("%s\n", r.c_str());
       return 0;
@@ -1167,14 +924,6 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) return usage();
-  if (write_baseline && baseline_path.empty()) {
-    std::fprintf(stderr, "bicord-lint: --write-baseline requires --baseline\n");
-    return 1;
-  }
-  if (!rule_scope.empty() && !write_baseline) {
-    std::fprintf(stderr, "bicord-lint: --rule only scopes --write-baseline\n");
-    return 1;
-  }
 
   // Expand directories; scan files in sorted order for stable output.
   std::vector<std::string> files;
@@ -1195,24 +944,6 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // Infer --src-root: the prefix through the first `src` component of any
-  // scanned path, so fixture trees and the real tree both resolve includes
-  // without extra flags.
-  if (src_root.empty()) {
-    for (const auto& f : files) {
-      const std::string norm = normalize_path(f);
-      if (norm.rfind("src/", 0) == 0) {
-        src_root = "src";
-        break;
-      }
-      const auto pos = norm.find("/src/");
-      if (pos != std::string::npos) {
-        src_root = norm.substr(0, pos + 4);
-        break;
-      }
-    }
-  }
-
   LayerConfig layering;
   if (!layering_path.empty()) {
     std::string error;
@@ -1225,109 +956,16 @@ int main(int argc, char** argv) {
   Linter linter(src_root, std::move(layering));
   for (const auto& f : files) linter.scan(f);
   if (linter.io_error()) return 1;
-  linter.finalize();
 
-  bool baseline_exists = false;
-  std::set<std::string> baseline;
-  if (!baseline_path.empty()) {
-    baseline = read_baseline(baseline_path, &baseline_exists);
+  const std::vector<Finding> findings = linter.sorted_findings();
+  for (const auto& f : findings) {
+    std::printf("%s:%zu: [%s] %s\n", f.path.c_str(), f.line, f.rule.c_str(),
+                f.message.c_str());
   }
-
-  std::set<std::string> current;
-  std::vector<const Finding*> fresh;
-  for (const auto& f : linter.findings()) {
-    current.insert(f.fingerprint);
-    if (!baseline.count(f.fingerprint)) fresh.push_back(&f);
-  }
-
-  if (write_baseline) {
-    // With --rule the rewrite touches only that rule's slice: every other
-    // rule's entries are carried over verbatim, so refreshing one rule can
-    // never absorb a regression in another.
-    std::set<std::string> next;
-    if (rule_scope.empty()) {
-      next = current;
-    } else {
-      for (const auto& b : baseline) {
-        if (!fingerprint_has_rule(b, rule_scope)) next.insert(b);
-      }
-      for (const auto& c : current) {
-        if (fingerprint_has_rule(c, rule_scope)) next.insert(c);
-      }
-    }
-    if (baseline_exists) {
-      std::vector<std::string> grown;
-      std::set_difference(next.begin(), next.end(), baseline.begin(),
-                          baseline.end(), std::back_inserter(grown));
-      if (!grown.empty()) {
-        std::fprintf(stderr,
-                     "bicord-lint: ratchet: refusing to grow the baseline by "
-                     "%zu finding(s)%s; fix them instead:\n",
-                     grown.size(),
-                     rule_scope.empty()
-                         ? ""
-                         : (" (rule " + rule_scope + ")").c_str());
-        for (const auto& g : grown) std::fprintf(stderr, "  %s\n", g.c_str());
-        return 3;
-      }
-    }
-    std::ofstream out(baseline_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "bicord-lint: cannot write %s\n", baseline_path.c_str());
-      return 1;
-    }
-    out << "# bicord-lint suppression baseline — may only shrink (ratchet).\n"
-        << "# Fingerprints: rule:path:token-hash:occurrence. Refresh one\n"
-        << "# rule's slice with: scripts/lint.sh refresh-baseline --rule "
-           "<name>\n";
-    for (const auto& c : next) out << c << "\n";
-    std::printf("bicord-lint: baseline written (%zu entries%s)\n", next.size(),
-                rule_scope.empty() ? ""
-                                   : (", scope " + rule_scope).c_str());
-    return 0;
-  }
-
-  std::size_t stale = 0;
-  for (const auto& b : baseline) {
-    if (!current.count(b)) ++stale;
-  }
-
-  if (json) {
-    std::printf("{\n  \"version\": 2,\n  \"files\": %zu,\n  \"findings\": [",
-                files.size());
-    bool first = true;
-    for (const auto& f : linter.findings()) {
-      std::printf("%s\n    {\"path\": \"%s\", \"line\": %zu, \"rule\": \"%s\", "
-                  "\"message\": \"%s\", \"fingerprint\": \"%s\", "
-                  "\"baselined\": %s}",
-                  first ? "" : ",", json_escape(f.path).c_str(), f.line,
-                  json_escape(f.rule).c_str(), json_escape(f.message).c_str(),
-                  json_escape(f.fingerprint).c_str(),
-                  baseline.count(f.fingerprint) ? "true" : "false");
-      first = false;
-    }
-    std::printf("%s],\n  \"new\": %zu,\n  \"stale_baseline\": %zu\n}\n",
-                first ? "" : "\n  ", fresh.size(), stale);
-    return fresh.empty() ? 0 : 2;
-  }
-
-  for (const auto* f : fresh) {
-    std::printf("%s:%zu: [%s] %s\n", f->path.c_str(), f->line, f->rule.c_str(),
-                f->message.c_str());
-  }
-  // Stale entries mean the code got cleaner than the baseline: remind the
-  // operator to ratchet down (not an error — shrinking is the goal).
-  if (stale > 0) {
-    std::printf(
-        "bicord-lint: %zu baseline entr%s no longer needed — ratchet down "
-        "with --write-baseline\n",
-        stale, stale == 1 ? "y is" : "ies are");
-  }
-  if (!fresh.empty()) {
-    std::printf("bicord-lint: %zu new finding(s)\n", fresh.size());
+  if (!findings.empty()) {
+    std::printf("bicord-lint: %zu finding(s)\n", findings.size());
     return 2;
   }
-  std::printf("bicord-lint: clean (%zu file(s), %zu baselined)\n", files.size(),
-              current.size());
+  std::printf("bicord-lint: clean (%zu file(s))\n", files.size());
   return 0;
 }

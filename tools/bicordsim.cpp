@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "fault/invariant_checker.hpp"
 #include "phy/tracer.hpp"
 #include "util/flags.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace bicord;
@@ -132,10 +134,10 @@ int main(int argc, char** argv) {
   flags.add_string("fault-plan", "",
                    "inject faults: a preset (cts-loss | detector | rssi | burst-shift | "
                    "frame-loss | clock-jitter | mixed) or @file with one event per line");
-  flags.add_string("set", "",
-                   "append one spec assignment key=value after every other override "
-                   "(e.g. --set medium.spatial_index=false for a brute-force twin "
-                   "of an indexed preset)");
+  flags.add_list("set",
+                 "append one spec assignment key=value after every other override "
+                 "(e.g. --set medium.spatial_index=false for a brute-force twin "
+                 "of an indexed preset); repeat it to append several, in order");
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", flags.error().c_str(),
@@ -155,6 +157,31 @@ int main(int argc, char** argv) {
     std::printf("%s", presets.render().c_str());
     return 0;
   }
+  // Run lengths become microsecond Durations: bounded like spec durations,
+  // so the conversion cannot overflow.
+  const std::int64_t max_seconds = kMaxParsedDuration.us() / 1'000'000;
+  const std::int64_t seconds = flags.get_int("seconds");
+  const std::int64_t warmup_seconds = flags.get_int("warmup-seconds");
+  if (seconds < 1 || seconds > max_seconds) {
+    std::fprintf(stderr, "error: --seconds must be in [1, %lld] (got %lld)\n",
+                 static_cast<long long>(max_seconds), static_cast<long long>(seconds));
+    return 2;
+  }
+  if (warmup_seconds < 0 || warmup_seconds > max_seconds) {
+    std::fprintf(stderr, "error: --warmup-seconds must be in [0, %lld] (got %lld)\n",
+                 static_cast<long long>(max_seconds),
+                 static_cast<long long>(warmup_seconds));
+    return 2;
+  }
+  const std::int64_t repeat_flag = flags.get_int("repeat");
+  if (repeat_flag < 1 || repeat_flag > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --repeat must be in [1, %d] (got %lld)\n",
+                 std::numeric_limits<int>::max(), static_cast<long long>(repeat_flag));
+    return 2;
+  }
+  const int repeat = static_cast<int>(repeat_flag);
+  const Duration warmup = Duration::from_sec(warmup_seconds);
+  const Duration measure = Duration::from_sec(seconds);
 
   coex::ScenarioSpec spec;
   const bool have_scenario = !flags.get_string("scenario").empty();
@@ -173,52 +200,46 @@ int main(int argc, char** argv) {
   const auto overriding = [&](const char* flag) {
     return !have_scenario || flags.provided(flag);
   };
+  // Millisecond flags reach the spec as text, so its duration reader bounds
+  // them; converting to a Duration here could overflow first.
+  const auto ms_text = [&](const char* flag) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17gms", flags.get_double(flag));
+    return std::string(buf);
+  };
   if (overriding("scheme")) spec.set("coordination", flags.get_string("scheme"));
   if (overriding("location")) spec.set("location", flags.get_string("location"));
   if (overriding("wifi-traffic")) spec.set("wifi.traffic", flags.get_string("wifi-traffic"));
   if (overriding("seed")) spec.set("seed", static_cast<std::uint64_t>(flags.get_int("seed")));
-  if (overriding("burst-packets")) {
-    spec.set("burst.packets", static_cast<int>(flags.get_int("burst-packets")));
-  }
-  if (overriding("burst-payload")) {
-    spec.set("burst.payload", static_cast<int>(flags.get_int("burst-payload")));
-  }
-  if (overriding("burst-interval-ms")) {
-    spec.set("burst.interval", Duration::from_ms_f(flags.get_double("burst-interval-ms")));
-  }
+  if (overriding("burst-packets")) spec.set("burst.packets", flags.get_int("burst-packets"));
+  if (overriding("burst-payload")) spec.set("burst.payload", flags.get_int("burst-payload"));
+  if (overriding("burst-interval-ms")) spec.set("burst.interval", ms_text("burst-interval-ms"));
   if (overriding("poisson")) spec.set("burst.poisson", flags.get_bool("poisson"));
   if (overriding("wifi-high-share")) {
     spec.set("wifi.high_share", flags.get_double("wifi-high-share"));
   }
-  if (overriding("ecc-whitespace-ms")) {
-    spec.set("ecc.whitespace", Duration::from_ms_f(flags.get_double("ecc-whitespace-ms")));
-  }
-  if (overriding("ecc-period-ms")) {
-    spec.set("ecc.period", Duration::from_ms_f(flags.get_double("ecc-period-ms")));
-  }
-  if (overriding("step-ms")) {
-    spec.set("allocator.initial_whitespace",
-             Duration::from_ms_f(flags.get_double("step-ms")));
-  }
+  if (overriding("ecc-whitespace-ms")) spec.set("ecc.whitespace", ms_text("ecc-whitespace-ms"));
+  if (overriding("ecc-period-ms")) spec.set("ecc.period", ms_text("ecc-period-ms"));
+  if (overriding("step-ms")) spec.set("allocator.initial_whitespace", ms_text("step-ms"));
   if (overriding("person-mobility")) {
     spec.set("mobility.person", flags.get_bool("person-mobility"));
   }
   if (overriding("device-mobility")) {
     spec.set("mobility.device", flags.get_bool("device-mobility"));
   }
-  if (flags.provided("set")) {
-    const std::string& kv = flags.get_string("set");
+  const auto trim = [](std::string s) {
+    const auto b = s.find_first_not_of(" \t");
+    const auto e = s.find_last_not_of(" \t");
+    return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
+  };
+  // Appended last, in command-line order: later assignments win, so --set
+  // beats spec and flags, and a later --set beats an earlier one.
+  for (const std::string& kv : flags.get_list("set")) {
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
       std::fprintf(stderr, "error: --set expects key=value (got '%s')\n", kv.c_str());
       return 2;
     }
-    const auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t");
-      const auto e = s.find_last_not_of(" \t");
-      return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
-    // Appended last: later assignments win, so --set beats spec and flags.
     spec.set(trim(kv.substr(0, eq)), trim(kv.substr(eq + 1)));
   }
 
@@ -235,11 +256,6 @@ int main(int argc, char** argv) {
     if (!load_fault_plan(flags.get_string("fault-plan"), cfg.fault_plan)) return 2;
   }
 
-  const int repeat = static_cast<int>(flags.get_int("repeat"));
-  if (repeat < 1) {
-    std::fprintf(stderr, "error: --repeat must be >= 1 (got %d)\n", repeat);
-    return 2;
-  }
   if (repeat > 1) {
     if (!flags.get_string("trace-file").empty() || flags.get_bool("timeline")) {
       std::fprintf(stderr,
@@ -247,9 +263,7 @@ int main(int argc, char** argv) {
                    "drop --repeat to use them\n");
       return 2;
     }
-    coex::ExperimentRunner runner(cfg,
-                                  Duration::from_sec(flags.get_int("warmup-seconds")),
-                                  Duration::from_sec(flags.get_int("seconds")));
+    coex::ExperimentRunner runner(cfg, warmup, measure);
     runner.set_jobs(static_cast<int>(flags.get_int("jobs")));
     if (flags.get_bool("progress")) {
       runner.set_progress([](std::size_t done, std::size_t total) {
@@ -267,7 +281,7 @@ int main(int argc, char** argv) {
     std::printf("bicordsim: scheme=%s location=%s base-seed=%llu, %d x %llds measured\n\n",
                 coex::to_string(cfg.coordination), coex::to_string(cfg.location),
                 static_cast<unsigned long long>(cfg.seed), repeat,
-                static_cast<long long>(flags.get_int("seconds")));
+                static_cast<long long>(seconds));
     AsciiTable table;
     table.set_header({"metric", "mean", "+/- 95% CI"});
     for (const auto& s : summaries) {
@@ -300,9 +314,9 @@ int main(int argc, char** argv) {
     if (auto* election = scenario.election()) checker->watch_election(*election);
     checker->start();
   }
-  scenario.run_for(Duration::from_sec(flags.get_int("warmup-seconds")));
+  scenario.run_for(warmup);
   scenario.start_measurement();
-  scenario.run_for(Duration::from_sec(flags.get_int("seconds")));
+  scenario.run_for(measure);
   if (checker != nullptr) checker->finish(scenario.fault_injector());
 
   const auto util = scenario.utilization();
@@ -310,8 +324,7 @@ int main(int argc, char** argv) {
 
   std::printf("bicordsim: scheme=%s location=%s seed=%llu, %llds measured\n\n",
               coex::to_string(cfg.coordination), coex::to_string(cfg.location),
-              static_cast<unsigned long long>(cfg.seed),
-              static_cast<long long>(flags.get_int("seconds")));
+              static_cast<unsigned long long>(cfg.seed), static_cast<long long>(seconds));
 
   AsciiTable table;
   table.set_header({"metric", "value"});
