@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "phy/units.hpp"
 #include "util/parse.hpp"
 
 namespace bicord::coex {
@@ -16,6 +17,16 @@ namespace {
 constexpr std::int64_t kMaxZigbeePayload = 127;
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+/// Transmit powers run from the -120 dBm floor, below which a signal counts
+/// as nothing (phy/units.hpp), up to 1 kW, far above the 36 dBm ISM EIRP cap.
+constexpr double kMaxTxPowerDbm = 60.0;
+
+bool parse_power(const std::string& s, double* out) {
+  double p = 0.0;
+  if (!parse_f64(s, &p) || p < phy::kFloorDbm || p > kMaxTxPowerDbm) return false;
+  *out = p;
+  return true;
+}
 
 std::string trim(const std::string& s) {
   std::size_t b = 0;
@@ -116,10 +127,10 @@ bool parse_extra_link(const std::string& text, ExtraZigbeeSpec* out,
     } else if (key == "poisson") {
       ok = parse_bool(value, &spec.burst.poisson);
     } else if (key == "power") {
-      ok = parse_f64(value, &spec.data_power_dbm);
+      ok = parse_power(value, &spec.data_power_dbm);
     } else if (key == "signaling") {
       double p = 0.0;
-      ok = parse_f64(value, &p);
+      ok = parse_power(value, &p);
       spec.signaling_power_dbm = p;
     } else {
       *why = "unknown token key '" + key + "'";
@@ -240,6 +251,10 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     return bad_value("an integer in [" + std::to_string(lo) + ", " +
                      std::to_string(hi) + "]");
   };
+  auto power = [&](double* field) {
+    if (parse_power(value, field)) return true;
+    return bad_value("a power in dBm in [-120, 60]");
+  };
 
   std::uint64_t u = 0;
   double f = 0.0;
@@ -269,7 +284,8 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "wifi.cbr_payload") {
     if (!integer(&out->cfg.wifi_cbr_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "wifi.high_share") {
-    if (!parse_f64(value, &f)) return bad_value("a number");
+    if (!parse_f64(value, &f) || f < 0.0 || f > 1.0)
+      return bad_value("a share in [0, 1]");
     out->cfg.wifi_high_share = f;
   } else if (key == "wifi.priority_cycle") {
     if (!positive_duration(&out->cfg.wifi_priority_cycle)) return false;
@@ -314,13 +330,13 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     out->cfg.burst.poisson = b;
     out->ble.burst.poisson = b;
   } else if (key == "zigbee.data_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.zigbee_data_power_dbm = f;
+    if (!power(&out->cfg.zigbee_data_power_dbm)) return false;
   } else if (key == "zigbee.signaling_power") {
     if (lower(value) == "default") {
       out->cfg.signaling_power_dbm.reset();
     } else {
-      if (!parse_f64(value, &f)) return bad_value("a power in dBm or 'default'");
+      if (!parse_power(value, &f))
+        return bad_value("a power in dBm in [-120, 60] or 'default'");
       out->cfg.signaling_power_dbm = f;
     }
   } else if (key == "zigbee.link_distance") {
@@ -360,8 +376,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
     if (!parse_duration(value, &out->cfg.ecc.whitespace))
       return bad_value("a duration (us/ms/s suffix)");
   } else if (key == "ecc.emulation_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.ecc.emulation_power_dbm = f;
+    if (!power(&out->cfg.ecc.emulation_power_dbm)) return false;
   } else if (key == "ecc.emulation_airtime") {
     if (!positive_duration(&out->cfg.ecc.emulation_airtime)) return false;
   } else if (key == "mobility.person") {
@@ -396,8 +411,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
       return bad_value("a cell size of at least 1 metre (0 = derive)");
     out->cfg.medium.cell_size_m = f;
   } else if (key == "medium.max_tx_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.medium.max_tx_power_dbm = f;
+    if (!power(&out->cfg.medium.max_tx_power_dbm)) return false;
   } else if (key == "dense.wifi_pairs") {
     if (!integer(&out->cfg.dense.wifi_pairs, 0, kMaxAllocCount)) return false;
   } else if (key == "dense.zigbee_links") {
@@ -420,14 +434,11 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "dense.wifi_payload") {
     if (!integer(&out->cfg.dense.wifi_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "dense.wifi_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.dense.wifi_tx_power_dbm = f;
+    if (!power(&out->cfg.dense.wifi_tx_power_dbm)) return false;
   } else if (key == "dense.zigbee_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.dense.zigbee_tx_power_dbm = f;
+    if (!power(&out->cfg.dense.zigbee_tx_power_dbm)) return false;
   } else if (key == "dense.ble_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.dense.ble_tx_power_dbm = f;
+    if (!power(&out->cfg.dense.ble_tx_power_dbm)) return false;
   } else if (key == "fault.preset") {
     auto plan = fault::FaultPlan::preset(value);
     if (!plan) return bad_value("a fault-plan preset name (see fault::FaultPlan)");
@@ -465,8 +476,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "ble.payload") {
     if (!integer(&out->ble.ble_payload_bytes, 1, kU32Max)) return false;
   } else if (key == "ble.tx_power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->ble.ble_tx_power_dbm = f;
+    if (!power(&out->ble.ble_tx_power_dbm)) return false;
   } else if (key == "ble.zigbee_channel") {
     if (!parse_int(value, &out->ble.zigbee_channel, 11, 26))
       return bad_value("an 802.15.4 channel (11-26)");
@@ -477,8 +487,7 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "lteu.period") {
     if (!positive_duration(&out->cfg.lteu.period)) return false;
   } else if (key == "lteu.power") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.lteu.tx_power_dbm = f;
+    if (!power(&out->cfg.lteu.tx_power_dbm)) return false;
   } else if (key == "tsch.hop_period") {
     if (!positive_duration(&out->cfg.tsch_hop_period)) return false;
   } else {

@@ -27,6 +27,11 @@
 //     must be positive; gaps, margins and backoffs
 //     (allocator.end_of_burst_gap / control_duration / reestimate_period,
 //     signaling.control_gap / ignored_backoff) non-negative;
+//   - transmit powers (zigbee.data_power / signaling_power, medium.max_tx_power,
+//     ecc.emulation_power, dense.wifi_power / zigbee_power / ble_power,
+//     ble.tx_power, lteu.power, extra.link power= / signaling=) are in
+//     [-120, 60] dBm: the -120 dBm floor up to 1 kW;
+//   - wifi.high_share is in [0, 1];
 //   - 0 <= ecc.whitespace < ecc.period, checked after every entry applies.
 
 #include <cstdint>

@@ -81,15 +81,15 @@ bool parse_event_line(const std::string& line, int line_no, FaultEvent* out,
     bool ok = true;
     if (key == "at") {
       Duration d;
-      ok = parse_duration(value, &d);
+      ok = parse_duration(value, &d) && d >= Duration::zero();
       ev.at = TimePoint::origin() + d;
       have_at = true;
     } else if (key == "window") {
-      ok = parse_duration(value, &ev.window);
+      ok = parse_duration(value, &ev.window) && ev.window >= Duration::zero();
     } else if (key == "interval") {
       ok = parse_duration(value, &ev.burst_interval);
     } else if (key == "count") {
-      ok = parse_int(value, &ev.count);
+      ok = parse_int(value, &ev.count, 0);
     } else if (key == "packets") {
       // The burst source allocates per packet, like burst.packets.
       ok = parse_int(value, &ev.burst_packets, std::numeric_limits<int>::min(),
@@ -97,7 +97,8 @@ bool parse_event_line(const std::string& line, int line_no, FaultEvent* out,
     } else if (key == "link") {
       ok = parse_int(value, &ev.link);
     } else if (key == "prob") {
-      ok = parse_f64(value, &ev.probability);
+      ok = parse_f64(value, &ev.probability) && ev.probability >= 0.0 &&
+           ev.probability <= 1.0;
     } else if (key == "mag") {
       ok = parse_f64(value, &ev.magnitude);
     } else if (key == "tech") {

@@ -109,6 +109,7 @@ class FaultPlan {
   /// with duration suffixes us/ms/s; '#' starts a comment. Values are read
   /// whole by the util/parse.hpp readers (no trailing junk, nan or inf, and
   /// an int token must fit an int; packets= is at most kMaxAllocCount).
+  /// at=, window= and count= must not be negative, and prob= is in [0, 1].
   /// Returns nullopt (and fills *error) on malformed input.
   [[nodiscard]] static std::optional<FaultPlan> parse(const std::string& text,
                                                      std::string* error = nullptr);

@@ -2,17 +2,23 @@
 // Parallel multi-seed experiment engine with bitwise-deterministic
 // aggregation.
 //
+// parallel_for() is the one place in src/ that starts threads: the caller
+// and up to `jobs - 1` helper threads take trial indices from one shared
+// counter until every index has run. Trials are coarse (milliseconds to
+// seconds each), so one counter balances load across threads, and the
+// threads live only as long as one batch.
+//
 // A trial is an opaque function of its index that returns one value per
 // registered metric (the caller derives the trial's seed/config from the
-// index). Trials fan out across a TrialPool; the per-trial metric vectors
-// are kept by index and merged in index (== seed) order afterwards, so the
+// index). ParallelExperimentRunner keeps the per-trial metric vectors by
+// index and merges them in index (== seed) order afterwards, so the
 // aggregated MetricSummary values are bitwise identical for any thread
 // count — `--jobs 8` reproduces `--jobs 1` exactly, and a rerun with the
 // same seed reproduces both.
 //
 // The engine is scenario-agnostic on purpose: coex::ExperimentRunner wraps
-// it for Scenario sweeps, and the signaling/energy benches drive it (or the
-// raw TrialPool) with their own trial shapes.
+// it for Scenario sweeps, and the benches drive it (or parallel_for) with
+// their own trial shapes.
 
 #include <chrono>
 #include <cmath>
@@ -21,10 +27,35 @@
 #include <string>
 #include <vector>
 
-#include "runner/trial_pool.hpp"
 #include "util/stats.hpp"
 
 namespace bicord::runner {
+
+/// Worker-count resolution shared by every parallel entry point:
+/// `requested` if >= 1, else the BICORD_JOBS environment variable if it
+/// parses as a positive integer, else std::thread::hardware_concurrency()
+/// (minimum 1).
+[[nodiscard]] int resolve_jobs(int requested = 0);
+
+/// Executes fn(0) .. fn(n-1), each exactly once, and returns when every call
+/// has finished. The calling thread runs trials too, alongside up to
+/// min(jobs, n) - 1 helper threads; `jobs <= 0` resolves via resolve_jobs(),
+/// and jobs == 1 runs everything inline on the caller's thread. If a helper
+/// cannot be started (the OS is out of threads or address space), the
+/// caller runs the whole batch alone. If calls throw, every remaining index
+/// still runs; afterwards the exception of the LOWEST failing index is
+/// rethrown (deterministic regardless of scheduling). Returns the number of
+/// threads that ran trials.
+int parallel_for(std::size_t n, int jobs, const std::function<void(std::size_t)>& fn);
+
+/// parallel_for() collecting one result per index, in index order.
+template <typename R>
+[[nodiscard]] std::vector<R> parallel_map(std::size_t n, int jobs,
+                                          const std::function<R(std::size_t)>& fn) {
+  std::vector<R> out(n);
+  parallel_for(n, jobs, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
+}
 
 /// Aggregate of one metric across all trials of an experiment.
 struct MetricSummary {
@@ -39,8 +70,9 @@ struct MetricSummary {
   [[nodiscard]] std::string to_string(int precision = 2) const;
 };
 
-/// Wall-clock accounting for one run(): enough for benches to report
-/// throughput on long sweeps. Timing is observational only — it never
+/// Wall-clock accounting for one batch of trials: enough for benches to
+/// report throughput on long sweeps. `jobs` is the number of threads that
+/// ran, as parallel_for() returns it. Timing is observational only — it never
 /// feeds into the metric aggregation and differs run to run, so it is kept
 /// off the deterministic output (bicordsim prints it on stderr).
 struct RunReport {
@@ -67,7 +99,7 @@ class ParallelExperimentRunner {
   /// vector; `trial` produces exactly that many values per index.
   ParallelExperimentRunner(std::vector<std::string> metric_names, TrialFn trial);
 
-  /// Worker threads for run(); <= 0 selects BICORD_JOBS / all hardware.
+  /// Threads for run(); <= 0 selects BICORD_JOBS / all hardware.
   void set_jobs(int jobs) { jobs_ = jobs; }
   void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
 

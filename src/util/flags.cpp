@@ -195,6 +195,16 @@ void add_jobs_flag(Flags& flags) {
                 "(0 = BICORD_JOBS env, else all hardware threads)");
 }
 
+std::optional<int> get_jobs_flag(const Flags& flags, std::string* error) {
+  const std::int64_t jobs = flags.get_int("jobs");
+  if (jobs < 0 || jobs > kMaxAllocCount) {
+    *error = "--jobs must be in [0, " + std::to_string(kMaxAllocCount) + "] (got " +
+             std::to_string(jobs) + ")";
+    return std::nullopt;
+  }
+  return static_cast<int>(jobs);
+}
+
 std::string Flags::usage(const std::string& program_name) const {
   std::ostringstream os;
   if (!description_.empty()) os << description_ << "\n\n";

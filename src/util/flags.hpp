@@ -80,4 +80,9 @@ class Flags {
 /// threads). Resolution happens in runner::resolve_jobs.
 void add_jobs_flag(Flags& flags);
 
+/// Reads the flag add_jobs_flag registered. Like every other count it is
+/// bounded, to [0, kMaxAllocCount]; outside that range the result is
+/// nullopt and *error names the flag and its range.
+[[nodiscard]] std::optional<int> get_jobs_flag(const Flags& flags, std::string* error);
+
 }  // namespace bicord

@@ -8,6 +8,25 @@ using namespace bicord::time_literals;
 
 namespace {
 
+/// `text` parses, and config() fails with an error naming `key` (by default
+/// the first key `text` assigns).
+void expect_rejected(const std::string& text, std::string key = "") {
+  if (key.empty()) key = text.substr(0, text.find(' '));
+  std::string error;
+  const auto spec = ScenarioSpec::parse(text, &error);
+  ASSERT_TRUE(spec.has_value()) << text << error;
+  EXPECT_FALSE(spec->config(&error).has_value()) << text;
+  EXPECT_NE(error.find(key), std::string::npos) << error;
+}
+
+/// `text` parses and lowers.
+void expect_accepted(const std::string& text) {
+  std::string error;
+  const auto spec = ScenarioSpec::parse(text, &error);
+  ASSERT_TRUE(spec.has_value()) << text << error;
+  EXPECT_TRUE(spec->config(&error).has_value()) << text << error;
+}
+
 TEST(ScenarioSpecTest, ParseSerializeRoundTripIsBitwiseStable) {
   const std::string text =
       "# comment\n"
@@ -217,17 +236,13 @@ TEST(ScenarioSpecTest, GrantorsRejectsZeroAndDuplicates) {
   // Negative, empty element, and trailing comma are malformed too.
   for (const char* bad : {"grantors = -2\n", "grantors = 2.5,,4\n",
                           "grantors = 2.5,\n"}) {
-    spec = ScenarioSpec::parse(bad, &error);
-    ASSERT_TRUE(spec.has_value()) << bad;
-    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
-    EXPECT_NE(error.find("grantors"), std::string::npos) << error;
+    expect_rejected(bad);
   }
 }
 
 TEST(ScenarioSpecTest, DurationKeysMustBePositive) {
   // Each key feeds a timer or a rate: zero or a negative value must fail
   // config() naming the key, not abort or divide by zero mid-run.
-  std::string error;
   for (const char* key :
        {"election.grace", "burst.interval", "ecc.period", "ecc.emulation_airtime",
         "mobility.device_period", "wifi.cbr_interval", "dense.wifi_interval",
@@ -235,65 +250,42 @@ TEST(ScenarioSpecTest, DurationKeysMustBePositive) {
         "allocator.initial_whitespace", "allocator.max_whitespace",
         "ble.connection_interval"}) {
     for (const char* value : {"0us", "-5ms", "soon"}) {
-      const std::string text = std::string(key) + " = " + value + "\n";
-      auto spec = ScenarioSpec::parse(text, &error);
-      ASSERT_TRUE(spec.has_value()) << text;
-      EXPECT_FALSE(spec->config(&error).has_value()) << text;
-      EXPECT_NE(error.find(key), std::string::npos) << error;
+      expect_rejected(std::string(key) + " = " + value + "\n");
     }
   }
-  auto spec = ScenarioSpec::parse("extra.link = loc=C interval=0us\n", &error);
-  ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_FALSE(spec->config(&error).has_value());
-  EXPECT_NE(error.find("interval"), std::string::npos) << error;
+  expect_rejected("extra.link = loc=C interval=0us\n", "interval");
 }
 
 TEST(ScenarioSpecTest, GapKeysMustBeNonNegative) {
   // Zero means "no gap" and stays legal (bench_ablation_estimator sweeps
   // allocator.control_duration from 0); a negative delay aborted the
   // simulator mid-run.
-  std::string error;
   for (const char* key :
        {"allocator.end_of_burst_gap", "allocator.control_duration",
         "allocator.reestimate_period", "signaling.control_gap",
         "signaling.ignored_backoff"}) {
     for (const char* value : {"-1ms", "-1us", "soon"}) {
-      const std::string text = std::string(key) + " = " + value + "\n";
-      auto spec = ScenarioSpec::parse(text, &error);
-      ASSERT_TRUE(spec.has_value()) << text;
-      EXPECT_FALSE(spec->config(&error).has_value()) << text;
-      EXPECT_NE(error.find(key), std::string::npos) << error;
+      expect_rejected(std::string(key) + " = " + value + "\n");
     }
-    const std::string zero = std::string(key) + " = 0us\n";
-    auto spec = ScenarioSpec::parse(zero, &error);
-    ASSERT_TRUE(spec.has_value()) << zero;
-    EXPECT_TRUE(spec->config(&error).has_value()) << zero << error;
+    expect_accepted(std::string(key) + " = 0us\n");
   }
 }
 
 TEST(ScenarioSpecTest, DurationsAboveAMillionSecondsAreRejected) {
   // 9e12 s overflowed `now + d` (an abort), and 1e300 s overflowed the
   // microsecond conversion itself.
-  std::string error;
   for (const char* bad :
        {"burst.interval = 9e12s\n", "allocator.max_whitespace = 1e300s\n",
         "allocator.reestimate_period = 1000001s\n",
         "ecc.whitespace = -1e13ms\n"}) {
-    auto spec = ScenarioSpec::parse(bad, &error);
-    ASSERT_TRUE(spec.has_value()) << bad;
-    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
-    const std::string text(bad);
-    EXPECT_NE(error.find(text.substr(0, text.find(' '))), std::string::npos) << error;
+    expect_rejected(bad);
   }
-  auto spec = ScenarioSpec::parse("allocator.reestimate_period = 1000000s\n", &error);
-  ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_TRUE(spec->config(&error).has_value()) << error;
+  expect_accepted("allocator.reestimate_period = 1000000s\n");
 }
 
 TEST(ScenarioSpecTest, IntegerKeysRejectValuesTheirFieldCannotHold) {
   // Each of these used to narrow through a static_cast: 9999999999 packets
   // became 1,410,065,407 per burst, and the dense counts exhausted memory.
-  std::string error;
   for (const char* bad :
        {"burst.packets = 9999999999\n", "burst.packets = 2147483647\n",
         "burst.packets = 10001\n", "dense.wifi_pairs = 9999999999\n",
@@ -306,11 +298,7 @@ TEST(ScenarioSpecTest, IntegerKeysRejectValuesTheirFieldCannotHold) {
         "signaling.control_payload = 100000\n",
         "extra.link = loc=C packets=10001\n", "extra.link = loc=C payload=128\n",
         "fault.event = burst-shift at=500ms packets=2000000000 interval=100ms\n"}) {
-    auto spec = ScenarioSpec::parse(bad, &error);
-    ASSERT_TRUE(spec.has_value()) << bad;
-    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
-    const std::string text(bad);
-    EXPECT_NE(error.find(text.substr(0, text.find(' '))), std::string::npos) << error;
+    expect_rejected(bad);
   }
   // The limits themselves are legal: 127 B is the largest 802.15.4 frame,
   // and the paper's 120 B control packet must fit.
@@ -319,32 +307,24 @@ TEST(ScenarioSpecTest, IntegerKeysRejectValuesTheirFieldCannotHold) {
         "burst.payload = 127\n", "signaling.control_payload = 120\n",
         "extra.link = loc=C packets=10000 payload=127\n",
         "seed = 18446744073709551615\n"}) {
-    auto spec = ScenarioSpec::parse(good, &error);
-    ASSERT_TRUE(spec.has_value()) << good;
-    EXPECT_TRUE(spec->config(&error).has_value()) << good << error;
+    expect_accepted(good);
   }
 }
 
 TEST(ScenarioSpecTest, EccWhitespaceMustFitItsPeriodInAnyKeyOrder) {
-  std::string error;
   // 200 ms against the default 100 ms period, a full period, and negative.
   for (const char* bad :
        {"ecc.whitespace = 200ms\n", "ecc.whitespace = 100ms\n",
         "ecc.whitespace = -1ms\n",
         "ecc.period = 300ms\necc.whitespace = 200ms\necc.period = 150ms\n"}) {
-    auto spec = ScenarioSpec::parse(bad, &error);
-    ASSERT_TRUE(spec.has_value()) << bad;
-    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
-    EXPECT_NE(error.find("ecc.whitespace"), std::string::npos) << error;
+    expect_rejected(bad, "ecc.whitespace");
   }
   // The check runs once after every entry, so key order does not matter,
   // and zero (the BiCord/CSMA rows of bench_fig10) stays legal.
   for (const char* good :
        {"ecc.period = 300ms\necc.whitespace = 200ms\n",
         "ecc.whitespace = 200ms\necc.period = 300ms\n", "ecc.whitespace = 0us\n"}) {
-    auto spec = ScenarioSpec::parse(good, &error);
-    ASSERT_TRUE(spec.has_value()) << good;
-    EXPECT_TRUE(spec->config(&error).has_value()) << good << error;
+    expect_accepted(good);
   }
 }
 
@@ -362,26 +342,45 @@ TEST(ScenarioSpecTest, NonFiniteNumbersAndSubMetreCellsAreRejected) {
   // strtod accepts nan/inf spellings; no float key means them. A NaN snap
   // floor would silently disable every audibility test, and an infinite or
   // sub-metre cell aborts the grid or makes every window enormous.
-  std::string error;
   for (const char* bad :
        {"medium.cell = inf\n", "medium.cell = nan\n", "medium.cell = 0.001\n",
         "medium.cell = 1e-300\n", "medium.cell = 0.999\n", "medium.snap_floor = nan\n",
         "medium.snap_floor = -inf\n", "medium.max_tx_power = inf\n",
         "pathloss.sigma = nan\n", "wifi.high_share = INF\n",
         "burst.interval = infms\n"}) {
-    auto spec = ScenarioSpec::parse(bad, &error);
-    ASSERT_TRUE(spec.has_value()) << bad;
-    EXPECT_FALSE(spec->config(&error).has_value()) << bad;
-    const std::string text(bad);
-    const std::string key = text.substr(0, text.find(' '));
-    EXPECT_NE(error.find(key), std::string::npos) << error;
+    expect_rejected(bad);
   }
   // 0 still means "derive", and a 1 m cell is the smallest explicit one.
   for (const char* good :
        {"medium.cell = 0\n", "medium.cell = 1\n", "medium.cell = 25\n"}) {
-    auto spec = ScenarioSpec::parse(good, &error);
-    ASSERT_TRUE(spec.has_value()) << good;
-    EXPECT_TRUE(spec->config(&error).has_value()) << good << error;
+    expect_accepted(good);
+  }
+}
+
+TEST(ScenarioSpecTest, PowersAndSharesOutsideTheirRangesAreRejected) {
+  // Each of these ran to exit 0: a 1e300 dBm signal, or a high-priority
+  // share of 2, starved ZigBee instead of failing.
+  for (const char* key :
+       {"zigbee.data_power", "zigbee.signaling_power", "medium.max_tx_power",
+        "ecc.emulation_power", "dense.wifi_power", "dense.zigbee_power",
+        "dense.ble_power", "ble.tx_power", "lteu.power"}) {
+    for (const char* value : {"1e300", "60.5", "-121", "loud"}) {
+      expect_rejected(std::string(key) + " = " + value + "\n");
+    }
+    // The bounds themselves are legal: the -120 dBm floor and 1 kW.
+    expect_accepted(std::string(key) + " = -120\n");
+    expect_accepted(std::string(key) + " = 60\n");
+  }
+  for (const char* bad :
+       {"wifi.high_share = 2\n", "wifi.high_share = -1\n", "wifi.high_share = 1.0001\n",
+        "extra.link = loc=C power=1e300\n", "extra.link = loc=C signaling=-500\n"}) {
+    expect_rejected(bad);
+  }
+  for (const char* good :
+       {"wifi.high_share = 0\n", "wifi.high_share = 1\n",
+        "zigbee.signaling_power = default\n",
+        "extra.link = loc=C power=60 signaling=-120\n"}) {
+    expect_accepted(good);
   }
 }
 

@@ -85,6 +85,22 @@ TEST(FaultPlanTest, ParseRejectsMalformedInput) {
     EXPECT_FALSE(FaultPlan::parse(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("bad value"), std::string::npos) << error;
   }
+
+  // Out-of-range values used to parse: a probability of 2, an event before
+  // t=0 that fired at 0 us, and negative counts and windows that did nothing.
+  for (const char* bad :
+       {"frame-corrupt at=100ms window=500ms prob=2",
+        "frame-corrupt at=100ms window=500ms prob=-0.1", "cts-loss at=-5ms",
+        "cts-loss at=1s count=-5", "csi-dropout at=1s window=-500ms"}) {
+    EXPECT_FALSE(FaultPlan::parse(bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+  }
+  // The bounds themselves are legal.
+  for (const char* good :
+       {"frame-corrupt at=0us window=0us prob=0", "frame-corrupt at=1s prob=1",
+        "cts-loss at=1s count=0"}) {
+    EXPECT_TRUE(FaultPlan::parse(good, &error).has_value()) << good << error;
+  }
 }
 
 TEST(FaultPlanTest, TimesRoundLikeSpecDurations) {

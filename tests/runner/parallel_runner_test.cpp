@@ -1,4 +1,7 @@
-#include "runner/trial_pool.hpp"
+// runner::parallel_for, the trial thread pool of every sweep: the caller
+// plus helper threads drain one shared index counter.
+
+#include "runner/parallel_runner.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,22 +17,19 @@ namespace bicord::runner {
 namespace {
 
 TEST(TrialPoolTest, RunsEveryTrialExactlyOnce) {
-  TrialPool pool(4);
   constexpr std::size_t n = 200;
   std::vector<std::atomic<int>> hits(n);
-  pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+  EXPECT_EQ(parallel_for(n, 4, [&](std::size_t i) { hits[i].fetch_add(1); }), 4);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "trial " << i;
 }
 
 TEST(TrialPoolTest, MapReturnsResultsInSubmissionOrder) {
-  TrialPool pool(4);
-  const auto out = pool.map<std::size_t>(100, [](std::size_t i) { return i * i; });
+  const auto out = parallel_map<std::size_t>(100, 4, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
 TEST(TrialPoolTest, PropagatesLowestIndexedException) {
-  TrialPool pool(4);
   std::vector<std::atomic<int>> hits(64);
   auto fn = [&](std::size_t i) {
     hits[i].fetch_add(1);
@@ -38,7 +38,7 @@ TEST(TrialPoolTest, PropagatesLowestIndexedException) {
     }
   };
   try {
-    pool.run(64, fn);
+    parallel_for(64, 4, fn);
     FAIL() << "expected the trial exception to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "trial 3");  // lowest index, not first-to-fail
@@ -48,45 +48,25 @@ TEST(TrialPoolTest, PropagatesLowestIndexedException) {
 }
 
 TEST(TrialPoolTest, MoreJobsThanTrialsDoesNotHang) {
-  TrialPool pool(8);
-  const auto out = pool.map<std::size_t>(3, [](std::size_t i) { return i; });
+  // One thread per trial at most: the caller plus two helpers.
+  std::vector<std::size_t> out(3);
+  EXPECT_EQ(parallel_for(3, 8, [&](std::size_t i) { out[i] = i; }), 3);
   EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(TrialPoolTest, ZeroTrialsReturnsImmediately) {
-  TrialPool pool(4);
   bool called = false;
-  pool.run(0, [&](std::size_t) { called = true; });
+  EXPECT_EQ(parallel_for(0, 4, [&](std::size_t) { called = true; }), 1);
   EXPECT_FALSE(called);
 }
 
 TEST(TrialPoolTest, SingleJobRunsInline) {
-  TrialPool pool(1);
   const auto caller = std::this_thread::get_id();
-  pool.run(8, [&](std::size_t) { EXPECT_EQ(std::this_thread::get_id(), caller); });
-}
-
-TEST(TrialPoolTest, PoolIsReusableAcrossBatches) {
-  TrialPool pool(3);
-  for (int batch = 0; batch < 5; ++batch) {
-    const auto out = pool.map<int>(20, [batch](std::size_t i) {
-      return batch * 100 + static_cast<int>(i);
-    });
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i], batch * 100 + static_cast<int>(i));
-    }
-  }
-}
-
-TEST(TrialPoolTest, RecoversAfterAFailedBatch) {
-  TrialPool pool(2);
-  EXPECT_THROW(pool.run(4,
-                        [](std::size_t i) {
-                          if (i == 2) throw std::runtime_error("boom");
-                        }),
-               std::runtime_error);
-  const auto out = pool.map<std::size_t>(4, [](std::size_t i) { return i + 1; });
-  EXPECT_EQ(out, (std::vector<std::size_t>{1, 2, 3, 4}));
+  EXPECT_EQ(parallel_for(8, 1,
+                         [&](std::size_t) {
+                           EXPECT_EQ(std::this_thread::get_id(), caller);
+                         }),
+            1);
 }
 
 TEST(TrialPoolTest, ParallelMapConvenience) {
@@ -95,6 +75,10 @@ TEST(TrialPoolTest, ParallelMapConvenience) {
   });
   int sum = std::accumulate(out.begin(), out.end(), 0);
   EXPECT_EQ(sum, 2 * (49 * 50 / 2));
+}
+
+TEST(TrialPoolTest, NullTrialFunctionIsRejected) {
+  EXPECT_THROW(parallel_for(4, 2, nullptr), std::invalid_argument);
 }
 
 TEST(ResolveJobsTest, HonorsExplicitRequest) {

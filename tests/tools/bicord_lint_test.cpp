@@ -457,10 +457,11 @@ TEST_F(BicordLintTest, AsyncAndJthreadOutsidePoolFire) {
 }
 
 TEST_F(BicordLintTest, ThreadInsidePoolHomesIsQuiet) {
-  // The sanctioned home: the trial pool's directory.
-  write("src/runner/trial_pool.cpp",
+  // The sanctioned home: runner::parallel_for's directory.
+  write("src/runner/parallel_runner.hpp",
+        "#pragma once\n"
         "#include <thread>\n"
-        "void pool() { std::thread t([] {}); t.join(); }\n");
+        "inline void pool() { std::jthread t([] {}); }\n");
   write("src/runner/parallel_runner.cpp",
         "#include <thread>\n"
         "void pool() { std::thread t([] {}); t.join(); }\n");

@@ -3,8 +3,10 @@
 // (scripts/check.sh, EXPERIMENTS.md recipes) fail loudly, a clean
 // multigrantor run must exit 0 while still printing the election report
 // block, bad input exits 2, and stdout carries only deterministic output.
+// The benches share the `--jobs` check and reject stray arguments too.
 //
-// The binary path is injected by CMake via BICORD_SIM_BIN.
+// The binary paths are injected by CMake via BICORD_SIM_BIN and, when the
+// benches are built, BICORD_FIG8_BIN and BICORD_ABLATION_BIN.
 
 #include <gtest/gtest.h>
 
@@ -25,15 +27,16 @@ struct Result {
   std::string output;
 };
 
-/// Runs bicordsim, capturing stdout and stderr, or stdout alone. Each test
-/// gets its own capture file, so parallel test runs never share one.
-Result run_sim(const std::string& args, bool stdout_only = false) {
+/// Runs a shell command line whose last command is the program under test,
+/// capturing its stdout and stderr, or stdout alone. Each test gets its own
+/// capture file, so parallel test runs never share one.
+Result run(const std::string& command, bool stdout_only = false) {
   const fs::path out_file =
       fs::path(::testing::TempDir()) /
       (std::string("bicordsim_cli_") +
        ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt");
-  const std::string cmd = std::string(BICORD_SIM_BIN) + " " + args + " > " +
-                          out_file.string() + (stdout_only ? " 2>/dev/null" : " 2>&1");
+  const std::string cmd = command + " > " + out_file.string() +
+                          (stdout_only ? " 2>/dev/null" : " 2>&1");
   const int raw = std::system(cmd.c_str());
   Result r;
   r.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
@@ -42,6 +45,16 @@ Result run_sim(const std::string& args, bool stdout_only = false) {
   ss << in.rdbuf();
   r.output = ss.str();
   return r;
+}
+
+Result run_sim(const std::string& args, bool stdout_only = false) {
+  return run(std::string(BICORD_SIM_BIN) + " " + args, stdout_only);
+}
+
+/// Bad input: exit 2 with a message containing `needle`.
+void expect_usage_error(const Result& r, const std::string& needle) {
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find(needle), std::string::npos) << r.output;
 }
 
 TEST(BicordsimCliTest, CleanMultigrantorRunExitsZeroWithElectionReport) {
@@ -70,17 +83,15 @@ TEST(BicordsimCliTest, UnknownPresetExitsWithUsageError) {
 }
 
 TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
-  const Result r = run_sim(
-      "--wifi-traffic priority --set wifi.priority_cycle=0us --seconds 1");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("wifi.priority_cycle"), std::string::npos) << r.output;
+  expect_usage_error(
+      run_sim("--wifi-traffic priority --set wifi.priority_cycle=0us --seconds 1"),
+      "wifi.priority_cycle");
 }
 
 TEST(BicordsimCliTest, InfiniteCellSizeExitsWithUsageError) {
   // Used to escape as an uncaught std::invalid_argument from the grid (134).
-  const Result r = run_sim("--scenario dense --set medium.cell=inf --seconds 1");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("medium.cell"), std::string::npos) << r.output;
+  expect_usage_error(run_sim("--scenario dense --set medium.cell=inf --seconds 1"),
+                     "medium.cell");
 }
 
 TEST(BicordsimCliTest, RepeatedSetAppendsInCommandLineOrder) {
@@ -94,30 +105,22 @@ TEST(BicordsimCliTest, RepeatedSetAppendsInCommandLineOrder) {
 
 TEST(BicordsimCliTest, ZeroSecondsWithRepeatExitsWithUsageError) {
   // Used to abort (134) on ExperimentRunner's positive-window check.
-  const Result r = run_sim("--seconds 0 --repeat 2");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("--seconds"), std::string::npos) << r.output;
+  expect_usage_error(run_sim("--seconds 0 --repeat 2"), "--seconds");
 }
 
 TEST(BicordsimCliTest, NegativeSecondsExitsWithUsageError) {
   // Used to print "-5s measured" over an all-zero table.
-  const Result r = run_sim("--seconds -5");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("--seconds"), std::string::npos) << r.output;
+  expect_usage_error(run_sim("--seconds -5"), "--seconds");
 }
 
 TEST(BicordsimCliTest, OverflowingSecondsExitsWithUsageError) {
   // Used to clamp to "9223372036854775807s measured" over an all-zero table.
-  const Result r = run_sim("--seconds 99999999999999999999");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("--seconds"), std::string::npos) << r.output;
+  expect_usage_error(run_sim("--seconds 99999999999999999999"), "--seconds");
 }
 
 TEST(BicordsimCliTest, OversizedBurstPacketsFlagExitsWithUsageError) {
   // The flag's int64 reaches the spec unnarrowed, so the spec's limit sees it.
-  const Result r = run_sim("--burst-packets 9999999999 --seconds 1");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("burst.packets"), std::string::npos) << r.output;
+  expect_usage_error(run_sim("--burst-packets 9999999999 --seconds 1"), "burst.packets");
 }
 
 TEST(BicordsimCliTest, RepeatStdoutIsByteIdenticalAcrossRuns) {
@@ -129,5 +132,56 @@ TEST(BicordsimCliTest, RepeatStdoutIsByteIdenticalAcrossRuns) {
   ASSERT_EQ(b.exit_code, 0) << b.output;
   EXPECT_EQ(a.output, b.output);
 }
+
+TEST(BicordsimCliTest, ThreadStartFailureFinishesOnTheCallingThread) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ASan and TSAN reserve more address space than the limit allows";
+#endif
+  // 63 helper stacks do not fit in 400 MB of address space. This used to
+  // abort (134) with an uncaught std::system_error from starting a thread.
+  const std::string args = "--seconds 1 --warmup-seconds 0 --repeat 64";
+  const Result limited =
+      run("ulimit -v 400000; " + std::string(BICORD_SIM_BIN) + " " + args + " --jobs 64",
+          /*stdout_only=*/true);
+  const Result serial = run_sim(args + " --jobs 1", /*stdout_only=*/true);
+  ASSERT_EQ(limited.exit_code, 0) << limited.output;
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  EXPECT_EQ(limited.output, serial.output);
+}
+
+TEST(BicordsimCliTest, OversizedRepeatExitsWithUsageError) {
+  // Used to abort (134) with an uncaught std::bad_alloc.
+  expect_usage_error(run_sim("--repeat 2147483647 --seconds 1"), "--repeat");
+}
+
+TEST(BicordsimCliTest, NarrowingJobsExitsWithUsageError) {
+  // 4294967297 used to narrow to one thread.
+  expect_usage_error(run_sim("--repeat 2 --jobs 4294967297 --seconds 1"), "--jobs");
+}
+
+TEST(BicordsimCliTest, OversizedJobsExitsWithUsageError) {
+  // Used to narrow to a negative count and silently run the hardware default.
+  expect_usage_error(run_sim("--jobs 2147483648 --seconds 1"), "--jobs");
+}
+
+TEST(BicordsimCliTest, NegativeJobsExitsWithUsageError) {
+  // Used to silently run the hardware default.
+  expect_usage_error(run_sim("--jobs -3 --seconds 1"), "--jobs");
+}
+
+#ifdef BICORD_FIG8_BIN
+TEST(BenchCliTest, NarrowingJobsExitsWithUsageError) {
+  // Used to narrow to one thread, like bicordsim's flag.
+  expect_usage_error(run(std::string(BICORD_FIG8_BIN) + " 1 --jobs 4294967297"),
+                     "--jobs");
+}
+
+TEST(BenchCliTest, SerialBenchRejectsArgumentsAfterTheScale) {
+  // Both used to run to exit 0, ignoring everything after the scale.
+  expect_usage_error(run(std::string(BICORD_ABLATION_BIN) + " 5 --jobs 2"),
+                     "unknown flag --jobs");
+  expect_usage_error(run(std::string(BICORD_ABLATION_BIN) + " 5 nonsense"), "'nonsense'");
+}
+#endif
 
 }  // namespace

@@ -494,7 +494,7 @@ class Linter {
     // The config structs' home layer plus the tests that exercise them.
     const bool spec_layer = norm.find("src/coex/") != std::string::npos ||
                             path_has_segment(norm, "tests");
-    // Threads live in exactly one place: the trial pool (src/runner/).
+    // Threads live in exactly one place: runner::parallel_for (src/runner/).
     const bool pool_home = norm.find("src/runner/") != std::string::npos;
     if (core) {
       check_banned_tokens(model);
@@ -719,10 +719,10 @@ class Linter {
   }
 
   void check_thread_outside_pool(const TuModel& m) {
-    // Every thread in src/ must come from runner::TrialPool (across-trial
+    // Every thread in src/ must come from runner::parallel_for (across-trial
     // fan-out, budgeted by --jobs/BICORD_JOBS); one simulation runs on one
     // thread. A raw std::thread/std::async escapes that budget and the
-    // bitwise-determinism gates built around the pool.
+    // bitwise-determinism gates built around parallel_for.
     static const std::regex re(R"(\bstd\s*::\s*(thread|jthread|async)\b)");
     const FileView& v = m.view;
     for (std::size_t i = 0; i < v.code.size(); ++i) {
@@ -730,8 +730,8 @@ class Linter {
       if (c.find("#include") != std::string::npos) continue;
       if (std::regex_search(c, re)) {
         report(m, i, "thread-outside-pool",
-               "raw thread primitive outside runner::TrialPool (threads are "
-               "budgeted and determinism-gated only through the pool): " +
+               "raw thread primitive outside runner::parallel_for (threads are "
+               "budgeted and determinism-gated only through it): " +
                    trim(v.raw[i]));
       }
     }

@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <string>
 
 #include <fstream>
@@ -173,13 +172,22 @@ int main(int argc, char** argv) {
                  static_cast<long long>(warmup_seconds));
     return 2;
   }
+  // Each repetition holds its own result vector, so --repeat is a count
+  // that sizes an allocation.
   const std::int64_t repeat_flag = flags.get_int("repeat");
-  if (repeat_flag < 1 || repeat_flag > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: --repeat must be in [1, %d] (got %lld)\n",
-                 std::numeric_limits<int>::max(), static_cast<long long>(repeat_flag));
+  if (repeat_flag < 1 || repeat_flag > kMaxAllocCount) {
+    std::fprintf(stderr, "error: --repeat must be in [1, %lld] (got %lld)\n",
+                 static_cast<long long>(kMaxAllocCount),
+                 static_cast<long long>(repeat_flag));
     return 2;
   }
   const int repeat = static_cast<int>(repeat_flag);
+  std::string jobs_error;
+  const auto jobs = get_jobs_flag(flags, &jobs_error);
+  if (!jobs) {
+    std::fprintf(stderr, "error: %s\n", jobs_error.c_str());
+    return 2;
+  }
   const Duration warmup = Duration::from_sec(warmup_seconds);
   const Duration measure = Duration::from_sec(seconds);
 
@@ -264,7 +272,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     coex::ExperimentRunner runner(cfg, warmup, measure);
-    runner.set_jobs(static_cast<int>(flags.get_int("jobs")));
+    runner.set_jobs(*jobs);
     if (flags.get_bool("progress")) {
       runner.set_progress([](std::size_t done, std::size_t total) {
         std::fprintf(stderr, "\r[bicordsim] %zu/%zu trials", done, total);
