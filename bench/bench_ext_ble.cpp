@@ -24,7 +24,7 @@ coex::BleScenario::Report run(std::uint64_t seed, bool coordinate, int ble_links
   spec.set("seed", seed);
   spec.set("ble.links", ble_links);
   spec.set("ble.coordinate", coordinate);
-  coex::BleScenario scenario(spec.must_ble_config());
+  coex::BleScenario scenario(spec.must_config());
   scenario.run_for(sim_time);
   return scenario.report();
 }

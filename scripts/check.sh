@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full correctness gate: plain build + tests, then the runner tests under
 # ThreadSanitizer (data races in the trial executor), then the whole suite
-# under ASan+UBSan. Each sanitizer gets its own build directory so the
-# builds never contaminate each other. The plain build is configured with
-# -DBICORD_WERROR=ON, so a new compiler warning fails the gate.
+# under ASan+UBSan, where any UBSan finding (float-cast-overflow included)
+# aborts the program and so fails the gate. Each sanitizer gets its own
+# build directory so the builds never contaminate each other. The plain
+# build is configured with -DBICORD_WERROR=ON, so a new compiler warning
+# fails the gate.
 #
 # Usage:  scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs]
 #   default — plain + lint (clang-tidy + bicord_lint) + dense smoke +

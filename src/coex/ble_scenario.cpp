@@ -1,5 +1,7 @@
 #include "coex/ble_scenario.hpp"
 
+#include <utility>
+
 namespace bicord::coex {
 
 // Construction order matches the original bench_ext_ble topology exactly:
@@ -7,17 +9,18 @@ namespace bicord::coex {
 // the ZigBee endpoints, then the coordination agents, then the workload.
 // Reordering would change node ids and Rng::split streams and break the
 // bitwise determinism goldens.
-BleScenario::BleScenario(BleScenarioConfig config) : config_(config) {
+BleScenario::BleScenario(ScenarioConfig config) : config_(std::move(config)) {
+  const BleClusterSpec& cluster = config_.ble;
   sim_ = std::make_unique<sim::Simulator>(config_.seed);
   medium_ = std::make_unique<phy::Medium>(*sim_, config_.path_loss);
 
-  for (int i = 0; i < config_.ble_links; ++i) {
+  for (int i = 0; i < cluster.links; ++i) {
     const auto m = medium_->add_node("ble-m", {0.4 * i, 0.2});
     const auto s = medium_->add_node("ble-s", {0.4 * i, 1.4});
     ble::BleConnection::Config cfg;
-    cfg.connection_interval = config_.ble_connection_interval;
-    cfg.payload_bytes = config_.ble_payload_bytes;
-    cfg.tx_power_dbm = config_.ble_tx_power_dbm;
+    cfg.connection_interval = cluster.connection_interval;
+    cfg.payload_bytes = cluster.payload_bytes;
+    cfg.tx_power_dbm = cluster.tx_power_dbm;
     cfg.hop_increment = 7 + 2 * (i % 5);  // coprime with 37 for i % 5 in 0..4
     links_.push_back(std::make_unique<ble::BleConnection>(*medium_, m, s, cfg));
     links_.back()->start();
@@ -26,12 +29,12 @@ BleScenario::BleScenario(BleScenarioConfig config) : config_(config) {
   const auto zb_tx = medium_->add_node("zb-tx", {0.9, 0.7});  // inside the BLE cluster
   const auto zb_rx = medium_->add_node("zb-rx", {2.3, 2.3});
   zigbee::ZigbeeMac::Config zc;
-  zc.channel = config_.zigbee_channel;
+  zc.channel = cluster.zigbee_channel;
   zc.retry_limit = 1;
   zigbee_sender_mac_ = std::make_unique<zigbee::ZigbeeMac>(*medium_, zb_tx, zc);
   zigbee_receiver_mac_ = std::make_unique<zigbee::ZigbeeMac>(*medium_, zb_rx, zc);
 
-  if (config_.coordinate) {
+  if (cluster.coordinate) {
     for (auto& l : links_) {
       agents_.push_back(std::make_unique<ble::BleBiCordAgent>(
           *medium_, *l, ble::BleBiCordAgent::Config{}));

@@ -6,8 +6,10 @@
 // audio-like links hop across the 2.4 GHz band around one ZigBee link; with
 // coordination enabled each BLE master runs a BleBiCordAgent (cross-decoding
 // receiver + spectral leases) and the ZigBee sender a BleAwareZigbeeAgent.
-// Extracted from bench_ext_ble so benches, bicordsim, and the golden
-// determinism test share one topology (construction order — and therefore
+// Built from a `topology = ble` spec's ScenarioConfig, it reads only `seed`,
+// `burst`, `path_loss` and `ble`. It has no Wi-Fi testbed, so it stays a
+// class of its own. The bench, the golden determinism test and the spec
+// fuzzer share this one topology (construction order — and therefore
 // RNG/event scheduling — is part of the contract).
 
 #include <cstdint>
@@ -17,41 +19,17 @@
 #include "ble/ble_bicord.hpp"
 #include "ble/ble_link.hpp"
 #include "ble/ble_zigbee_agent.hpp"
+#include "coex/scenario.hpp"
 #include "phy/medium.hpp"
-#include "phy/path_loss.hpp"
 #include "sim/simulator.hpp"
 #include "zigbee/traffic.hpp"
 #include "zigbee/zigbee_mac.hpp"
 
 namespace bicord::coex {
 
-struct BleScenarioConfig {
-  std::uint64_t seed = 2626;
-  /// Number of BLE master/slave pairs packed around the ZigBee link.
-  int ble_links = 4;
-  /// Run BiCord-for-BLE coordination agents on the BLE masters.
-  bool coordinate = true;
-
-  // --- BLE side (audio-streaming-like load) ---------------------------------
-  Duration ble_connection_interval = Duration::from_us(7500);
-  std::uint32_t ble_payload_bytes = 251;  ///< max LE data PDU
-  double ble_tx_power_dbm = 4.0;          ///< class-2-ish audio links
-
-  // --- ZigBee side ----------------------------------------------------------
-  int zigbee_channel = 24;
-  zigbee::BurstSource::Config burst{
-      .packets_per_burst = 5,
-      .payload_bytes = 50,
-      .mean_interval = Duration::from_ms(150),
-  };
-
-  /// Same office propagation model as ScenarioConfig.
-  phy::PathLossModel path_loss{40.0, 3.0, 0.0, 0.1};
-};
-
 class BleScenario {
  public:
-  explicit BleScenario(BleScenarioConfig config);
+  explicit BleScenario(ScenarioConfig config);
 
   BleScenario(const BleScenario&) = delete;
   BleScenario& operator=(const BleScenario&) = delete;
@@ -79,10 +57,9 @@ class BleScenario {
   [[nodiscard]] const std::vector<std::unique_ptr<ble::BleBiCordAgent>>& ble_agents() const {
     return agents_;
   }
-  [[nodiscard]] const BleScenarioConfig& config() const { return config_; }
 
  private:
-  BleScenarioConfig config_;
+  ScenarioConfig config_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<phy::Medium> medium_;
   std::vector<std::unique_ptr<ble::BleConnection>> links_;

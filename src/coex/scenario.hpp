@@ -31,6 +31,9 @@
 
 namespace bicord::coex {
 
+/// Which testbed a config describes: the Wi-Fi/ZigBee office (coex::Scenario)
+/// or the ZigBee link inside a BLE cluster (coex::BleScenario).
+enum class Topology { Coex, Ble };
 enum class Coordination { BiCord, Ecc, Csma, LteU, Tsch };
 enum class ZigbeeLocation { A, B, C, D };
 enum class WifiTrafficKind { Cbr, Saturated, Priority };
@@ -81,7 +84,19 @@ struct DenseFieldSpec {
   }
 };
 
+/// The BLE links packed around the ZigBee link of the `ble` topology (paper
+/// Sec. VII-D, coex::BleScenario); Scenario ignores them.
+struct BleClusterSpec {
+  int links = 4;          ///< BLE master/slave pairs
+  bool coordinate = true;  ///< run BiCord-for-BLE agents on the BLE masters
+  Duration connection_interval = Duration::from_us(7500);
+  std::uint32_t payload_bytes = 251;  ///< max LE data PDU
+  double tx_power_dbm = 4.0;          ///< class-2-ish audio links
+  int zigbee_channel = 24;
+};
+
 struct ScenarioConfig {
+  Topology topology = Topology::Coex;
   std::uint64_t seed = 1;
   Coordination coordination = Coordination::BiCord;
   ZigbeeLocation location = ZigbeeLocation::A;
@@ -146,6 +161,7 @@ struct ScenarioConfig {
   phy::MediumTuning medium;
   /// Background device field for the dense / city presets (empty = none).
   DenseFieldSpec dense;
+  BleClusterSpec ble;
   bool person_mobility = false;    ///< someone walks near the Wi-Fi receiver
   double person_event_rate_hz = 0.4;
   bool device_mobility = false;    ///< the ZigBee sender moves within ~1 m

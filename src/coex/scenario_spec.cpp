@@ -1,10 +1,13 @@
 #include "coex/scenario_spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "phy/units.hpp"
 #include "util/parse.hpp"
@@ -12,21 +15,16 @@
 namespace bicord::coex {
 namespace {
 
+using namespace spec;
+
 /// aMaxPHYPacketSize, the largest 802.15.4 frame. The 11-byte MAC overhead
 /// is not subtracted, so the paper's 120-byte control packet stays legal.
-constexpr std::int64_t kMaxZigbeePayload = 127;
-constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
-/// Transmit powers run from the -120 dBm floor, below which a signal counts
-/// as nothing (phy/units.hpp), up to 1 kW, far above the 36 dBm ISM EIRP cap.
-constexpr double kMaxTxPowerDbm = 60.0;
-
-bool parse_power(const std::string& s, double* out) {
-  double p = 0.0;
-  if (!parse_f64(s, &p) || p < phy::kFloorDbm || p > kMaxTxPowerDbm) return false;
-  *out = p;
-  return true;
-}
+constexpr std::uint32_t kMaxZigbeePayload = 127;
+constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr int kMaxCount = static_cast<int>(kMaxAllocCount);
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::string trim(const std::string& s) {
   std::size_t b = 0;
@@ -36,53 +34,142 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::string lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
+bool iequals(std::string_view a, std::string_view b) {
+  return std::ranges::equal(a, b, [](char x, char y) {
+    return std::tolower(static_cast<unsigned char>(x)) ==
+           std::tolower(static_cast<unsigned char>(y));
+  });
 }
 
-bool parse_bool(const std::string& s, bool* out) {
-  const std::string v = lower(s);
-  if (v == "true" || v == "1" || v == "on" || v == "yes") {
-    *out = true;
-    return true;
+/// Shortest decimal form that round-trips the exact double.
+std::string format_double(double v) {
+  char buf[64];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = 0.0;
+    if (parse_f64(buf, &back) && back == v) break;
   }
-  if (v == "false" || v == "0" || v == "off" || v == "no") {
-    *out = false;
-    return true;
+  return buf;
+}
+
+/// Fills *why with "expected <what>, got '<value>'" and returns false.
+bool expected(std::string* why, const std::string& what, std::string_view value) {
+  *why = "expected " + what + ", got '" + std::string(value) + "'";
+  return false;
+}
+
+bool parse_power(std::string_view s, double* out) {
+  double p = 0.0;
+  if (!parse_f64(s, &p) || p < phy::kFloorDbm || p > kMaxTxPowerDbm) return false;
+  *out = p;
+  return true;
+}
+
+std::string power_range() {
+  return "a power in dBm in [" + format_double(phy::kFloorDbm) + ", " +
+         format_double(kMaxTxPowerDbm) + "]";
+}
+
+bool parse_bool(std::string_view s, bool* out) {
+  constexpr std::string_view kWords[] = {"false", "0", "off", "no",
+                                         "true",  "1", "on",  "yes"};
+  for (std::size_t i = 0; i < std::size(kWords); ++i) {
+    if (iequals(s, kWords[i])) {
+      *out = i >= 4;
+      return true;
+    }
   }
   return false;
 }
 
-bool parse_coordination(const std::string& s, Coordination* out) {
-  const std::string v = lower(s);
-  if (v == "bicord") *out = Coordination::BiCord;
-  else if (v == "ecc") *out = Coordination::Ecc;
-  else if (v == "csma") *out = Coordination::Csma;
-  else if (v == "lteu") *out = Coordination::LteU;
-  else if (v == "tsch") *out = Coordination::Tsch;
-  else return false;
-  return true;
+template <typename E>
+bool choose(std::span<const std::string_view> names, std::string_view s, E* out) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (iequals(s, names[i])) {
+      *out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
 }
 
-bool parse_location(const std::string& s, ZigbeeLocation* out) {
-  const std::string v = lower(s);
-  if (v == "a") *out = ZigbeeLocation::A;
-  else if (v == "b") *out = ZigbeeLocation::B;
-  else if (v == "c") *out = ZigbeeLocation::C;
-  else if (v == "d") *out = ZigbeeLocation::D;
-  else return false;
-  return true;
+// Enumerator order: names[i] is E(i).
+constexpr std::string_view kTopologies[] = {"coex", "ble"};
+constexpr std::string_view kCoordinations[] = {"bicord", "ecc", "csma", "lteu", "tsch"};
+constexpr std::string_view kLocations[] = {"A", "B", "C", "D"};
+constexpr std::string_view kWifiTraffic[] = {"cbr", "saturated", "priority"};
+
+// --- one reader per row kind ---------------------------------------------------
+
+bool apply(const DurationKey& k, const std::string& v, ScenarioConfig& c,
+           std::string* why) {
+  Duration d;
+  if (parse_duration(v, &d) && d >= k.lo && d <= k.hi) {
+    k.field(c) = d;
+    return true;
+  }
+  return expected(why,
+                  "a duration in [" + k.lo.to_string() + ", " + k.hi.to_string() +
+                      "] (us/ms/s suffix)",
+                  v);
 }
 
-bool parse_wifi_traffic(const std::string& s, WifiTrafficKind* out) {
-  const std::string v = lower(s);
-  if (v == "cbr") *out = WifiTrafficKind::Cbr;
-  else if (v == "saturated") *out = WifiTrafficKind::Saturated;
-  else if (v == "priority") *out = WifiTrafficKind::Priority;
-  else return false;
-  return true;
+bool apply(const PowerKey& k, const std::string& v, ScenarioConfig& c, std::string* why) {
+  return parse_power(v, &k.field(c)) || expected(why, power_range(), v);
 }
+
+bool apply(const NumberKey& k, const std::string& v, ScenarioConfig& c,
+           std::string* why) {
+  double f = 0.0;
+  const bool ok = parse_f64(v, &f) &&
+                  ((k.or_zero && f == 0.0) ||
+                   ((k.lo_open ? f > k.lo : f >= k.lo) && f <= k.hi));
+  if (ok) {
+    k.field(c) = f;
+    return true;
+  }
+  const std::string range = (k.lo_open || k.lo == -kInf ? "(" : "[") +
+                            format_double(k.lo) + ", " + format_double(k.hi) +
+                            (k.hi == kInf ? ")" : "]");
+  return expected(why, (k.or_zero ? "0 or a number in " : "a number in ") + range, v);
+}
+
+template <typename T>
+bool apply(const IntegerKey<T>& k, const std::string& v, ScenarioConfig& c,
+           std::string* why) {
+  bool ok = false;
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    std::uint64_t u = 0;
+    ok = parse_u64(v, &u) && u >= k.lo && u <= k.hi;
+    if (ok) k.field(c) = u;
+  } else {
+    ok = parse_int(v, &k.field(c), k.lo, k.hi);
+  }
+  const auto range = "[" + std::to_string(k.lo) + ", " + std::to_string(k.hi) + "]";
+  return ok || expected(why, "an integer in " + range, v);
+}
+
+bool apply(const BoolKey& k, const std::string& v, ScenarioConfig& c, std::string* why) {
+  return parse_bool(v, &k.field(c)) || expected(why, "a boolean", v);
+}
+
+template <typename E>
+bool apply(const ChoiceKey<E>& k, const std::string& v, ScenarioConfig& c,
+           std::string* why) {
+  if (choose(k.names, v, &k.field(c))) return true;
+  std::string what = "one of ";
+  for (std::size_t i = 0; i < k.names.size(); ++i) {
+    what += (i > 0 ? ", " : "") + std::string(k.names[i]);
+  }
+  return expected(why, what, v);
+}
+
+bool apply(const SpecialKey& k, const std::string& v, ScenarioConfig& c,
+           std::string* why) {
+  return k.apply(v, c, why);
+}
+
+// --- keys that do more than set one field --------------------------------------
 
 /// "dx,dy" -> Position.
 bool parse_position(const std::string& s, phy::Position* out) {
@@ -114,7 +201,7 @@ bool parse_extra_link(const std::string& text, ExtraZigbeeSpec* out,
     const std::string value = token.substr(eq + 1);
     bool ok = true;
     if (key == "loc") {
-      ok = parse_location(value, &spec.location);
+      ok = choose(kLocations, value, &spec.location);
     } else if (key == "offset") {
       ok = parse_position(value, &spec.offset);
     } else if (key == "packets") {
@@ -145,355 +232,224 @@ bool parse_extra_link(const std::string& text, ExtraZigbeeSpec* out,
   return true;
 }
 
-/// Shortest decimal form that round-trips the exact double.
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = 0.0;
-    if (parse_f64(buf, &back) && back == v) break;
-  }
-  return buf;
+bool add_extra_link(const std::string& v, ScenarioConfig& c, std::string* why) {
+  ExtraZigbeeSpec spec;
+  if (!parse_extra_link(v, &spec, why)) return false;
+  c.extra_zigbee.push_back(spec);
+  return true;
 }
 
-constexpr const char* kKnownKeys[] = {
-    "seed",          "topology",
-    "coordination",  "location",
-    "wifi.traffic",  "wifi.payload",
-    "wifi.cbr_interval", "wifi.cbr_payload",
-    "wifi.high_share", "wifi.priority_cycle",
-    "wifi.grants_requests",
-    "grantors",      "election.grace",
-    "burst.packets", "burst.payload",
-    "burst.interval", "burst.poisson",
-    "zigbee.data_power", "zigbee.signaling_power",
-    "zigbee.link_distance", "zigbee.duty_cycle",
-    "allocator.initial_whitespace", "allocator.control_duration",
-    "allocator.end_of_burst_gap", "allocator.reestimate_period",
-    "allocator.max_whitespace",
-    "signaling.control_payload", "signaling.max_control_packets",
-    "signaling.control_gap", "signaling.ignored_backoff",
-    "ecc.period",    "ecc.whitespace",
-    "ecc.emulation_power", "ecc.emulation_airtime",
-    "mobility.person", "mobility.person_rate",
-    "mobility.device", "mobility.device_period",
-    "pathloss.ref_db", "pathloss.exponent",
-    "pathloss.sigma",
-    "medium.snap_floor", "medium.spatial_index",
-    "medium.cell",   "medium.max_tx_power",
-    "dense.wifi_pairs", "dense.zigbee_links",
-    "dense.ble_nodes", "dense.area",
-    "dense.clusters", "dense.cluster_sigma",
-    "dense.seed",    "dense.wifi_interval",
-    "dense.wifi_payload", "dense.wifi_power",
-    "dense.zigbee_power", "dense.ble_power",
-    "fault.preset",  "fault.event",
-    "fault.clock_skew_ppm",
-    "extra.link",    "extra.clear",
-    "ble.links",     "ble.coordinate",
-    "ble.connection_interval", "ble.payload",
-    "ble.tx_power",  "ble.zigbee_channel",
-    "lteu.duty",     "lteu.period",
-    "lteu.power",    "tsch.hop_period",
-};
-
-bool known_key(const std::string& key) {
-  for (const char* k : kKnownKeys) {
-    if (key == k) return true;
-  }
-  return false;
+bool clear_extra_links(const std::string& v, ScenarioConfig& c, std::string* why) {
+  bool b = false;
+  if (!parse_bool(v, &b) || !b) return expected(why, "'true'", v);
+  c.extra_zigbee.clear();
+  return true;
 }
 
-/// Both lowering targets; keys shared between topologies (seed, burst.*)
-/// update both so a preset stays meaningful under a later `topology` switch.
-struct Lowering {
-  ScenarioConfig cfg;
-  BleScenarioConfig ble;
-  bool is_ble = false;
+/// Comma-separated distances (metres) of extra grantor APs from the ZigBee
+/// sender. Distances double as election-metric inputs, so zero and
+/// duplicates are rejected: both would make the RSSI ranking degenerate
+/// instead of merely redundant.
+bool set_grantors(const std::string& v, ScenarioConfig& c, std::string* why) {
+  std::vector<double> dists;
+  std::size_t pos = 0;
+  while (true) {
+    const auto comma = v.find(',', pos);
+    const std::string tok = trim(comma == std::string::npos ? v.substr(pos)
+                                                            : v.substr(pos, comma - pos));
+    double f = 0.0;
+    if (!parse_f64(tok, &f) || f <= 0.0) {
+      return expected(why, "a positive distance in metres", tok);
+    }
+    if (std::ranges::find(dists, f) != dists.end()) {
+      *why = "duplicate grantor distance '" + tok + "'";
+      return false;
+    }
+    dists.push_back(f);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  c.extra_grantors_m = std::move(dists);
+  return true;
+}
+
+bool set_signaling_power(const std::string& v, ScenarioConfig& c, std::string* why) {
+  double p = 0.0;
+  if (iequals(v, "default")) c.signaling_power_dbm.reset();
+  else if (parse_power(v, &p)) c.signaling_power_dbm = p;
+  else return expected(why, power_range() + " or 'default'", v);
+  return true;
+}
+
+bool set_link_distance(const std::string& v, ScenarioConfig& c, std::string* why) {
+  double d = 0.0;
+  if (iequals(v, "default")) c.zigbee_link_distance_m.reset();
+  else if (parse_f64(v, &d) && d > 0.0) c.zigbee_link_distance_m = d;
+  else return expected(why, "a positive distance in metres or 'default'", v);
+  return true;
+}
+
+bool set_fault_preset(const std::string& v, ScenarioConfig& c, std::string* why) {
+  auto plan = fault::FaultPlan::preset(v);
+  if (!plan) return expected(why, "a fault-plan preset name (see fault::FaultPlan)", v);
+  c.fault_plan = *plan;
+  return true;
+}
+
+bool add_fault_event(const std::string& v, ScenarioConfig& c, std::string* why) {
+  std::string error;
+  auto plan = fault::FaultPlan::parse(v, &error);
+  if (!plan) {
+    *why = "bad fault event: " + error;
+    return false;
+  }
+  for (const auto& event : plan->events()) c.fault_plan.add(event);
+  return true;
+}
+
+/// Lowered to a ClockSkew event at t=0: every agent draws a persistent
+/// crystal drift in ±ppm before the first timer arms.
+bool add_clock_skew(const std::string& v, ScenarioConfig& c, std::string* why) {
+  double ppm = 0.0;
+  if (!parse_f64(v, &ppm) || ppm <= 0.0 || ppm > fault::kMaxClockSkewPpm) {
+    const std::string max = format_double(fault::kMaxClockSkewPpm);
+    return expected(why, "a drift magnitude in ppm, in (0, " + max + "]", v);
+  }
+  fault::FaultEvent skew;
+  skew.kind = fault::FaultKind::ClockSkew;
+  skew.magnitude = ppm;
+  c.fault_plan.add(skew);
+  return true;
+}
+
+// --- the table -------------------------------------------------------------------
+
+using Cfg = ScenarioConfig;
+using Alloc = core::AllocatorParams;
+using Burst = zigbee::BurstSource::Config;
+using Dense = DenseFieldSpec;
+using Ecc = core::EccWifiAgent::Config;
+using Lteu = interferers::LteUDevice::Config;
+using Med = phy::MediumTuning;
+using Loss = phy::PathLossModel;
+using Sig = core::SignalingParams;
+using Ble = BleClusterSpec;
+using Int = IntegerKey<int>;
+using U32 = IntegerKey<std::uint32_t>;
+using U64 = IntegerKey<std::uint64_t>;
+
+/// The field at `path` inside a config: at<&Cfg::burst, &Burst::payload_bytes>.
+template <auto... path>
+auto& at(Cfg& c) {
+  return (c .* ... .* path);
+}
+
+// Periods and intervals feed timers and rates, so they are positive; gaps,
+// margins and backoffs may be zero, but a negative delay aborts the simulator.
+constexpr DurationKey any(Field<Duration> f) {
+  return {f, Duration::from_us(-kMaxParsedDuration.us())};
+}
+constexpr DurationKey non_negative(Field<Duration> f) { return {f, Duration::zero()}; }
+constexpr DurationKey positive(Field<Duration> f) { return {f, Duration::from_us(1)}; }
+
+constexpr Key kKeys[] = {
+    {"allocator.control_duration",
+     non_negative(at<&Cfg::allocator, &Alloc::control_duration>)},
+    {"allocator.end_of_burst_gap",
+     non_negative(at<&Cfg::allocator, &Alloc::end_of_burst_gap>)},
+    {"allocator.initial_whitespace",
+     positive(at<&Cfg::allocator, &Alloc::initial_whitespace>)},
+    {"allocator.max_whitespace", positive(at<&Cfg::allocator, &Alloc::max_whitespace>)},
+    {"allocator.reestimate_period",
+     non_negative(at<&Cfg::allocator, &Alloc::reestimate_period>)},
+    // The Bluetooth LE range. A shorter interval opens a new connection
+    // event before the last one's packets end, and the run stalls.
+    {"ble.connection_interval",
+     DurationKey{at<&Cfg::ble, &Ble::connection_interval>,
+                 Duration::from_us(7500), Duration::from_sec(4)}},
+    {"ble.coordinate", BoolKey{at<&Cfg::ble, &Ble::coordinate>}},
+    {"ble.links", Int{at<&Cfg::ble, &Ble::links>, 1, kMaxCount}},
+    {"ble.payload", U32{at<&Cfg::ble, &Ble::payload_bytes>, 1, kU32Max}},
+    {"ble.tx_power", PowerKey{at<&Cfg::ble, &Ble::tx_power_dbm>}},
+    {"ble.zigbee_channel", Int{at<&Cfg::ble, &Ble::zigbee_channel>, 11, 26}},
+    {"burst.interval", positive(at<&Cfg::burst, &Burst::mean_interval>)},
+    {"burst.packets", Int{at<&Cfg::burst, &Burst::packets_per_burst>, 1, kMaxCount}},
+    {"burst.payload", U32{at<&Cfg::burst, &Burst::payload_bytes>, 1, kMaxZigbeePayload}},
+    {"burst.poisson", BoolKey{at<&Cfg::burst, &Burst::poisson>}},
+    {"coordination", ChoiceKey<Coordination>{at<&Cfg::coordination>, kCoordinations}},
+    {"dense.area", NumberKey{at<&Cfg::dense, &Dense::area_m>, 0.0, kInf, true}},
+    {"dense.ble_nodes", Int{at<&Cfg::dense, &Dense::ble_nodes>, 0, kMaxCount}},
+    {"dense.ble_power", PowerKey{at<&Cfg::dense, &Dense::ble_tx_power_dbm>}},
+    {"dense.cluster_sigma",
+     NumberKey{at<&Cfg::dense, &Dense::cluster_sigma_m>, 0.0, kInf, true}},
+    {"dense.clusters", Int{at<&Cfg::dense, &Dense::clusters>, 0, kMaxCount}},
+    {"dense.seed", U64{at<&Cfg::dense, &Dense::placement_seed>, 0, kU64Max}},
+    {"dense.wifi_interval", positive(at<&Cfg::dense, &Dense::wifi_interval>)},
+    {"dense.wifi_pairs", Int{at<&Cfg::dense, &Dense::wifi_pairs>, 0, kMaxCount}},
+    {"dense.wifi_payload", U32{at<&Cfg::dense, &Dense::wifi_payload_bytes>, 1, kU32Max}},
+    {"dense.wifi_power", PowerKey{at<&Cfg::dense, &Dense::wifi_tx_power_dbm>}},
+    {"dense.zigbee_links", Int{at<&Cfg::dense, &Dense::zigbee_links>, 0, kMaxCount}},
+    {"dense.zigbee_power", PowerKey{at<&Cfg::dense, &Dense::zigbee_tx_power_dbm>}},
+    {"ecc.emulation_airtime", positive(at<&Cfg::ecc, &Ecc::emulation_airtime>)},
+    {"ecc.emulation_power", PowerKey{at<&Cfg::ecc, &Ecc::emulation_power_dbm>}},
+    {"ecc.period", positive(at<&Cfg::ecc, &Ecc::period>)},
+    // Checked against ecc.period once every entry has applied (config()).
+    {"ecc.whitespace", any(at<&Cfg::ecc, &Ecc::whitespace>)},
+    {"election.grace", positive(at<&Cfg::election_grace>)},
+    {"extra.clear", SpecialKey{clear_extra_links}},
+    {"extra.link", SpecialKey{add_extra_link}},
+    // 1000 ppm (0.1%) is far beyond any real crystal; more is a spec typo.
+    {"fault.clock_skew_ppm", SpecialKey{add_clock_skew}},
+    {"fault.event", SpecialKey{add_fault_event}},
+    {"fault.preset", SpecialKey{set_fault_preset}},
+    {"grantors", SpecialKey{set_grantors}},
+    {"location", ChoiceKey<ZigbeeLocation>{at<&Cfg::location>, kLocations}},
+    {"lteu.duty", NumberKey{at<&Cfg::lteu, &Lteu::duty>, 0.0, 1.0, true}},
+    {"lteu.period", positive(at<&Cfg::lteu, &Lteu::period>)},
+    {"lteu.power", PowerKey{at<&Cfg::lteu, &Lteu::tx_power_dbm>}},
+    {"medium.cell",
+     NumberKey{at<&Cfg::medium, &Med::cell_size_m>, phy::kMinCellM, kInf, false, true}},
+    {"medium.max_tx_power", PowerKey{at<&Cfg::medium, &Med::max_tx_power_dbm>}},
+    {"medium.snap_floor", NumberKey{at<&Cfg::medium, &Med::snap_floor_dbm>, -kInf, kInf}},
+    {"medium.spatial_index", BoolKey{at<&Cfg::medium, &Med::spatial_index>}},
+    {"mobility.device", BoolKey{at<&Cfg::device_mobility>}},
+    {"mobility.device_period", positive(at<&Cfg::device_move_period>)},
+    {"mobility.person", BoolKey{at<&Cfg::person_mobility>}},
+    {"mobility.person_rate", NumberKey{at<&Cfg::person_event_rate_hz>, 0.0, kInf, true}},
+    {"pathloss.exponent",
+     NumberKey{at<&Cfg::path_loss, &Loss::exponent>, 0.0, kInf, true}},
+    {"pathloss.ref_db", NumberKey{at<&Cfg::path_loss, &Loss::pl_d0_db>, -kInf, kInf}},
+    {"pathloss.sigma",
+     NumberKey{at<&Cfg::path_loss, &Loss::shadowing_sigma_db>, 0.0, kInf}},
+    {"seed", U64{at<&Cfg::seed>, 0, kU64Max}},
+    {"signaling.control_gap", non_negative(at<&Cfg::signaling, &Sig::control_gap>)},
+    {"signaling.control_payload",
+     U32{at<&Cfg::signaling, &Sig::control_payload_bytes>, 1, kMaxZigbeePayload}},
+    {"signaling.ignored_backoff",
+     non_negative(at<&Cfg::signaling, &Sig::ignored_backoff>)},
+    {"signaling.max_control_packets",
+     Int{at<&Cfg::signaling, &Sig::max_control_packets>, 1, kIntMax}},
+    {"topology", ChoiceKey<Topology>{at<&Cfg::topology>, kTopologies}},
+    {"tsch.hop_period", positive(at<&Cfg::tsch_hop_period>)},
+    {"wifi.cbr_interval", positive(at<&Cfg::wifi_cbr_interval>)},
+    {"wifi.cbr_payload", U32{at<&Cfg::wifi_cbr_payload_bytes>, 1, kU32Max}},
+    {"wifi.grants_requests", BoolKey{at<&Cfg::wifi_grants_requests>}},
+    {"wifi.high_share", NumberKey{at<&Cfg::wifi_high_share>, 0.0, 1.0}},
+    {"wifi.payload", U32{at<&Cfg::wifi_payload_bytes>, 1, kU32Max}},
+    {"wifi.priority_cycle", positive(at<&Cfg::wifi_priority_cycle>)},
+    {"wifi.traffic", ChoiceKey<WifiTrafficKind>{at<&Cfg::wifi_traffic>, kWifiTraffic}},
+    {"zigbee.data_power", PowerKey{at<&Cfg::zigbee_data_power_dbm>}},
+    {"zigbee.duty_cycle", BoolKey{at<&Cfg::zigbee_duty_cycle>}},
+    {"zigbee.link_distance", SpecialKey{set_link_distance}},
+    {"zigbee.signaling_power", SpecialKey{set_signaling_power}},
 };
+// Strictly ascending, so find() can binary-search and no key is listed twice.
+static_assert(std::ranges::is_sorted(kKeys, std::ranges::less_equal{}, &Key::name));
 
 std::string describe_entry(const ScenarioSpec::Entry& e) {
   std::string where = "key '" + e.key + "'";
   if (e.line > 0) where = "line " + std::to_string(e.line) + ": " + where;
   return where;
-}
-
-bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error) {
-  const std::string& key = e.key;
-  const std::string& value = e.value;
-  auto fail = [&](const std::string& why) {
-    *error = describe_entry(e) + ": " + why;
-    return false;
-  };
-  auto bad_value = [&](const std::string& expected) {
-    return fail("expected " + expected + ", got '" + value + "'");
-  };
-  // Periods and intervals feed timers and rates: zero or a negative value
-  // would divide by zero or abort mid-run, so it is rejected here.
-  auto positive_duration = [&](Duration* field) {
-    Duration d;
-    if (!parse_duration(value, &d) || d <= Duration::zero())
-      return bad_value("a positive duration (us/ms/s suffix)");
-    *field = d;
-    return true;
-  };
-  // Gaps, margins and backoffs may be zero but never negative: the
-  // simulator aborts on a negative delay.
-  auto nonnegative_duration = [&](Duration* field) {
-    Duration d;
-    if (!parse_duration(value, &d) || d < Duration::zero())
-      return bad_value("a non-negative duration (us/ms/s suffix)");
-    *field = d;
-    return true;
-  };
-  auto integer = [&](auto* field, std::int64_t lo, std::int64_t hi) {
-    if (parse_int(value, field, lo, hi)) return true;
-    return bad_value("an integer in [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + "]");
-  };
-  auto power = [&](double* field) {
-    if (parse_power(value, field)) return true;
-    return bad_value("a power in dBm in [-120, 60]");
-  };
-
-  std::uint64_t u = 0;
-  double f = 0.0;
-  bool b = false;
-
-  if (key == "seed") {
-    if (!parse_u64(value, &u)) return bad_value("an unsigned integer");
-    out->cfg.seed = u;
-    out->ble.seed = u;
-  } else if (key == "topology") {
-    const std::string v = lower(value);
-    if (v == "coex") out->is_ble = false;
-    else if (v == "ble") out->is_ble = true;
-    else return bad_value("'coex' or 'ble'");
-  } else if (key == "coordination") {
-    if (!parse_coordination(value, &out->cfg.coordination))
-      return bad_value("bicord, ecc, csma, lteu, or tsch");
-  } else if (key == "location") {
-    if (!parse_location(value, &out->cfg.location)) return bad_value("A, B, C, or D");
-  } else if (key == "wifi.traffic") {
-    if (!parse_wifi_traffic(value, &out->cfg.wifi_traffic))
-      return bad_value("cbr, saturated, or priority");
-  } else if (key == "wifi.payload") {
-    if (!integer(&out->cfg.wifi_payload_bytes, 1, kU32Max)) return false;
-  } else if (key == "wifi.cbr_interval") {
-    if (!positive_duration(&out->cfg.wifi_cbr_interval)) return false;
-  } else if (key == "wifi.cbr_payload") {
-    if (!integer(&out->cfg.wifi_cbr_payload_bytes, 1, kU32Max)) return false;
-  } else if (key == "wifi.high_share") {
-    if (!parse_f64(value, &f) || f < 0.0 || f > 1.0)
-      return bad_value("a share in [0, 1]");
-    out->cfg.wifi_high_share = f;
-  } else if (key == "wifi.priority_cycle") {
-    if (!positive_duration(&out->cfg.wifi_priority_cycle)) return false;
-  } else if (key == "wifi.grants_requests") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->cfg.wifi_grants_requests = b;
-  } else if (key == "grantors") {
-    // Comma-separated distances (metres) of extra grantor APs from the
-    // ZigBee sender. Distances double as election-metric inputs, so zero
-    // and duplicates are rejected: both would make the RSSI ranking
-    // degenerate instead of merely redundant.
-    std::vector<double> dists;
-    std::size_t pos = 0;
-    while (true) {
-      const auto comma = value.find(',', pos);
-      const std::string tok =
-          trim(comma == std::string::npos ? value.substr(pos)
-                                          : value.substr(pos, comma - pos));
-      if (!parse_f64(tok, &f) || f <= 0.0)
-        return fail("expected a positive distance in metres, got '" + tok + "'");
-      for (const double seen : dists) {
-        if (seen == f) return fail("duplicate grantor distance '" + tok + "'");
-      }
-      dists.push_back(f);
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    out->cfg.extra_grantors_m = std::move(dists);
-  } else if (key == "election.grace") {
-    if (!positive_duration(&out->cfg.election_grace)) return false;
-  } else if (key == "burst.packets") {
-    if (!integer(&out->cfg.burst.packets_per_burst, 1, kMaxAllocCount)) return false;
-    out->ble.burst.packets_per_burst = out->cfg.burst.packets_per_burst;
-  } else if (key == "burst.payload") {
-    if (!integer(&out->cfg.burst.payload_bytes, 1, kMaxZigbeePayload)) return false;
-    out->ble.burst.payload_bytes = out->cfg.burst.payload_bytes;
-  } else if (key == "burst.interval") {
-    if (!positive_duration(&out->cfg.burst.mean_interval)) return false;
-    out->ble.burst.mean_interval = out->cfg.burst.mean_interval;
-  } else if (key == "burst.poisson") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->cfg.burst.poisson = b;
-    out->ble.burst.poisson = b;
-  } else if (key == "zigbee.data_power") {
-    if (!power(&out->cfg.zigbee_data_power_dbm)) return false;
-  } else if (key == "zigbee.signaling_power") {
-    if (lower(value) == "default") {
-      out->cfg.signaling_power_dbm.reset();
-    } else {
-      if (!parse_power(value, &f))
-        return bad_value("a power in dBm in [-120, 60] or 'default'");
-      out->cfg.signaling_power_dbm = f;
-    }
-  } else if (key == "zigbee.link_distance") {
-    if (lower(value) == "default") {
-      out->cfg.zigbee_link_distance_m.reset();
-    } else {
-      if (!parse_f64(value, &f) || f <= 0.0)
-        return bad_value("a positive distance in metres or 'default'");
-      out->cfg.zigbee_link_distance_m = f;
-    }
-  } else if (key == "zigbee.duty_cycle") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->cfg.zigbee_duty_cycle = b;
-  } else if (key == "allocator.initial_whitespace") {
-    if (!positive_duration(&out->cfg.allocator.initial_whitespace)) return false;
-  } else if (key == "allocator.control_duration") {
-    if (!nonnegative_duration(&out->cfg.allocator.control_duration)) return false;
-  } else if (key == "allocator.end_of_burst_gap") {
-    if (!nonnegative_duration(&out->cfg.allocator.end_of_burst_gap)) return false;
-  } else if (key == "allocator.reestimate_period") {
-    if (!nonnegative_duration(&out->cfg.allocator.reestimate_period)) return false;
-  } else if (key == "allocator.max_whitespace") {
-    if (!positive_duration(&out->cfg.allocator.max_whitespace)) return false;
-  } else if (key == "signaling.control_payload") {
-    if (!integer(&out->cfg.signaling.control_payload_bytes, 1, kMaxZigbeePayload))
-      return false;
-  } else if (key == "signaling.max_control_packets") {
-    if (!integer(&out->cfg.signaling.max_control_packets, 1, kIntMax)) return false;
-  } else if (key == "signaling.control_gap") {
-    if (!nonnegative_duration(&out->cfg.signaling.control_gap)) return false;
-  } else if (key == "signaling.ignored_backoff") {
-    if (!nonnegative_duration(&out->cfg.signaling.ignored_backoff)) return false;
-  } else if (key == "ecc.period") {
-    if (!positive_duration(&out->cfg.ecc.period)) return false;
-  } else if (key == "ecc.whitespace") {
-    // Checked against ecc.period once every entry has applied (config()).
-    if (!parse_duration(value, &out->cfg.ecc.whitespace))
-      return bad_value("a duration (us/ms/s suffix)");
-  } else if (key == "ecc.emulation_power") {
-    if (!power(&out->cfg.ecc.emulation_power_dbm)) return false;
-  } else if (key == "ecc.emulation_airtime") {
-    if (!positive_duration(&out->cfg.ecc.emulation_airtime)) return false;
-  } else if (key == "mobility.person") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->cfg.person_mobility = b;
-  } else if (key == "mobility.person_rate") {
-    if (!parse_f64(value, &f) || f <= 0.0) return bad_value("a positive rate in Hz");
-    out->cfg.person_event_rate_hz = f;
-  } else if (key == "mobility.device") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->cfg.device_mobility = b;
-  } else if (key == "mobility.device_period") {
-    if (!positive_duration(&out->cfg.device_move_period)) return false;
-  } else if (key == "pathloss.ref_db") {
-    if (!parse_f64(value, &f)) return bad_value("a loss in dB");
-    out->cfg.path_loss.pl_d0_db = f;
-  } else if (key == "pathloss.exponent") {
-    if (!parse_f64(value, &f) || f <= 0.0) return bad_value("a positive exponent");
-    out->cfg.path_loss.exponent = f;
-  } else if (key == "pathloss.sigma") {
-    if (!parse_f64(value, &f) || f < 0.0) return bad_value("a non-negative sigma in dB");
-    out->cfg.path_loss.shadowing_sigma_db = f;
-  } else if (key == "medium.snap_floor") {
-    if (!parse_f64(value, &f)) return bad_value("a power in dBm");
-    out->cfg.medium.snap_floor_dbm = f;
-  } else if (key == "medium.spatial_index") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->cfg.medium.spatial_index = b;
-  } else if (key == "medium.cell") {
-    // Sub-metre cells make every grid window millions of cells wide.
-    if (!parse_f64(value, &f) || (f != 0.0 && f < 1.0))
-      return bad_value("a cell size of at least 1 metre (0 = derive)");
-    out->cfg.medium.cell_size_m = f;
-  } else if (key == "medium.max_tx_power") {
-    if (!power(&out->cfg.medium.max_tx_power_dbm)) return false;
-  } else if (key == "dense.wifi_pairs") {
-    if (!integer(&out->cfg.dense.wifi_pairs, 0, kMaxAllocCount)) return false;
-  } else if (key == "dense.zigbee_links") {
-    if (!integer(&out->cfg.dense.zigbee_links, 0, kMaxAllocCount)) return false;
-  } else if (key == "dense.ble_nodes") {
-    if (!integer(&out->cfg.dense.ble_nodes, 0, kMaxAllocCount)) return false;
-  } else if (key == "dense.area") {
-    if (!parse_f64(value, &f) || f <= 0.0) return bad_value("a positive edge in metres");
-    out->cfg.dense.area_m = f;
-  } else if (key == "dense.clusters") {
-    if (!integer(&out->cfg.dense.clusters, 0, kMaxAllocCount)) return false;
-  } else if (key == "dense.cluster_sigma") {
-    if (!parse_f64(value, &f) || f <= 0.0) return bad_value("a positive sigma in metres");
-    out->cfg.dense.cluster_sigma_m = f;
-  } else if (key == "dense.seed") {
-    if (!parse_u64(value, &u)) return bad_value("an unsigned integer");
-    out->cfg.dense.placement_seed = u;
-  } else if (key == "dense.wifi_interval") {
-    if (!positive_duration(&out->cfg.dense.wifi_interval)) return false;
-  } else if (key == "dense.wifi_payload") {
-    if (!integer(&out->cfg.dense.wifi_payload_bytes, 1, kU32Max)) return false;
-  } else if (key == "dense.wifi_power") {
-    if (!power(&out->cfg.dense.wifi_tx_power_dbm)) return false;
-  } else if (key == "dense.zigbee_power") {
-    if (!power(&out->cfg.dense.zigbee_tx_power_dbm)) return false;
-  } else if (key == "dense.ble_power") {
-    if (!power(&out->cfg.dense.ble_tx_power_dbm)) return false;
-  } else if (key == "fault.preset") {
-    auto plan = fault::FaultPlan::preset(value);
-    if (!plan) return bad_value("a fault-plan preset name (see fault::FaultPlan)");
-    out->cfg.fault_plan = *plan;
-  } else if (key == "fault.event") {
-    std::string why;
-    auto plan = fault::FaultPlan::parse(value, &why);
-    if (!plan) return fail("bad fault event: " + why);
-    for (const auto& event : plan->events()) out->cfg.fault_plan.add(event);
-  } else if (key == "fault.clock_skew_ppm") {
-    // Lowered to a ClockSkew event at t=0: every agent draws a persistent
-    // crystal drift in ±ppm before the first timer arms. 1000 ppm (0.1%) is
-    // far beyond any real crystal; treat more as a spec typo.
-    if (!parse_f64(value, &f) || f <= 0.0 || f > 1000.0)
-      return bad_value("a drift magnitude in ppm, in (0, 1000]");
-    fault::FaultEvent skew;
-    skew.kind = fault::FaultKind::ClockSkew;
-    skew.magnitude = f;
-    out->cfg.fault_plan.add(skew);
-  } else if (key == "extra.link") {
-    ExtraZigbeeSpec spec;
-    std::string why;
-    if (!parse_extra_link(value, &spec, &why)) return fail(why);
-    out->cfg.extra_zigbee.push_back(spec);
-  } else if (key == "extra.clear") {
-    if (!parse_bool(value, &b) || !b) return bad_value("'true'");
-    out->cfg.extra_zigbee.clear();
-  } else if (key == "ble.links") {
-    if (!integer(&out->ble.ble_links, 1, kMaxAllocCount)) return false;
-  } else if (key == "ble.coordinate") {
-    if (!parse_bool(value, &b)) return bad_value("a boolean");
-    out->ble.coordinate = b;
-  } else if (key == "ble.connection_interval") {
-    if (!positive_duration(&out->ble.ble_connection_interval)) return false;
-  } else if (key == "ble.payload") {
-    if (!integer(&out->ble.ble_payload_bytes, 1, kU32Max)) return false;
-  } else if (key == "ble.tx_power") {
-    if (!power(&out->ble.ble_tx_power_dbm)) return false;
-  } else if (key == "ble.zigbee_channel") {
-    if (!parse_int(value, &out->ble.zigbee_channel, 11, 26))
-      return bad_value("an 802.15.4 channel (11-26)");
-  } else if (key == "lteu.duty") {
-    if (!parse_f64(value, &f) || f <= 0.0 || f > 1.0)
-      return bad_value("a duty fraction in (0, 1]");
-    out->cfg.lteu.duty = f;
-  } else if (key == "lteu.period") {
-    if (!positive_duration(&out->cfg.lteu.period)) return false;
-  } else if (key == "lteu.power") {
-    if (!power(&out->cfg.lteu.tx_power_dbm)) return false;
-  } else if (key == "tsch.hop_period") {
-    if (!positive_duration(&out->cfg.tsch_hop_period)) return false;
-  } else {
-    return fail("unknown key");  // parse() rejects these; set() can still reach here
-  }
-  return true;
 }
 
 struct PresetDef {
@@ -742,6 +698,13 @@ constexpr PresetDef kPresets[] = {
 
 }  // namespace
 
+std::span<const spec::Key> spec::keys() { return kKeys; }
+
+const spec::Key* spec::find(std::string_view name) {
+  const auto* it = std::ranges::lower_bound(kKeys, name, {}, &Key::name);
+  return it != std::end(kKeys) && it->name == name ? it : nullptr;
+}
+
 std::optional<ScenarioSpec> ScenarioSpec::parse(const std::string& text,
                                                 std::string* error) {
   ScenarioSpec spec;
@@ -764,7 +727,7 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(const std::string& text,
     const std::string value = trim(line.substr(eq + 1));
     if (key.empty()) return fail("missing key before '='");
     if (value.empty()) return fail("missing value for key '" + key + "'");
-    if (!known_key(key)) return fail("unknown key '" + key + "'");
+    if (spec::find(key) == nullptr) return fail("unknown key '" + key + "'");
     spec.entries_.push_back(Entry{key, value, lineno});
   }
   return spec;
@@ -840,22 +803,24 @@ bool ScenarioSpec::is_ble() const {
   // Later assignments win, so the last `topology` entry decides.
   bool ble = false;
   for (const auto& e : entries_) {
-    if (e.key == "topology") ble = lower(e.value) == "ble";
+    if (e.key == "topology") ble = iequals(e.value, "ble");
   }
   return ble;
 }
 
 std::optional<ScenarioConfig> ScenarioSpec::config(std::string* error) const {
-  Lowering low;
-  std::string why;
+  ScenarioConfig cfg;
   for (const auto& e : entries_) {
-    if (!apply_entry(e, &low, &why)) {
-      if (error != nullptr) *error = why;
+    const spec::Key* key = spec::find(e.key);
+    std::string why = "unknown key";  // parse() rejects these; set() does not
+    const auto lower = [&](const auto& row) { return apply(row, e.value, cfg, &why); };
+    if (key == nullptr || !std::visit(lower, key->reader)) {
+      if (error != nullptr) *error = describe_entry(e) + ": " + why;
       return std::nullopt;
     }
   }
   // Cross-key constraint, checked once so that key order does not matter.
-  const auto& ecc = low.cfg.ecc;
+  const auto& ecc = cfg.ecc;
   if (ecc.whitespace < Duration::zero() || ecc.whitespace >= ecc.period) {
     if (error != nullptr) {
       *error = "key 'ecc.whitespace': expected a duration in [0, ecc.period = " +
@@ -863,19 +828,7 @@ std::optional<ScenarioConfig> ScenarioSpec::config(std::string* error) const {
     }
     return std::nullopt;
   }
-  return low.cfg;
-}
-
-std::optional<BleScenarioConfig> ScenarioSpec::ble_config(std::string* error) const {
-  Lowering low;
-  std::string why;
-  for (const auto& e : entries_) {
-    if (!apply_entry(e, &low, &why)) {
-      if (error != nullptr) *error = why;
-      return std::nullopt;
-    }
-  }
-  return low.ble;
+  return cfg;
 }
 
 ScenarioConfig ScenarioSpec::must_config() const {
@@ -885,17 +838,7 @@ ScenarioConfig ScenarioSpec::must_config() const {
     std::fprintf(stderr, "bicord: bad scenario spec: %s\n", error.c_str());
     std::exit(1);
   }
-  return *cfg;
-}
-
-BleScenarioConfig ScenarioSpec::must_ble_config() const {
-  std::string error;
-  auto cfg = ble_config(&error);
-  if (!cfg) {
-    std::fprintf(stderr, "bicord: bad scenario spec: %s\n", error.c_str());
-    std::exit(1);
-  }
-  return *cfg;
+  return std::move(*cfg);
 }
 
 }  // namespace bicord::coex

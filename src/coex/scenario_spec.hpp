@@ -4,17 +4,23 @@
 // A ScenarioSpec is an ordered list of `key = value` assignments — parsed
 // from a small text DSL in the style of fault::FaultPlan, taken from a named
 // preset (one per paper figure), or built programmatically with set(). It
-// lowers to the C++ config structs (`ScenarioConfig`, or `BleScenarioConfig`
-// when `topology = ble`) on demand. Benches, examples, and bicordsim build
-// their scenarios from presets plus explicit overrides, so an experiment's
-// setup is diffable data rather than a hand-rolled config block; the
-// bicord_lint rule `scenario-config-literal` keeps it that way.
+// lowers on demand to one ScenarioConfig, which builds a coex::Scenario, or
+// a coex::BleScenario when `topology = ble` (is_ble()). Every key is one row
+// of a table sorted by name (spec::keys(), defined in scenario_spec.cpp):
+// parse() asks it whether a key exists, and config() lowers each entry
+// through its row into the one ScenarioConfig field the row names. Each row
+// type has exactly one reader, so a range is written once, and the spec
+// fuzzer derives its boundary cases from the rows. Benches, examples, and
+// bicordsim build their scenarios from presets plus explicit overrides, so
+// an experiment's setup is diffable data rather than a hand-rolled config
+// block; the bicord_lint rule `scenario-config-literal` keeps it that way.
 //
 // DSL: one assignment per line, `#` starts a comment, later assignments win
 // (overrides compose in declaration order). Durations take a us/ms/s suffix.
 // Repeatable keys (`extra.link`, `fault.event`) append instead of replace.
 //
-// Value limits (config() fails naming the key; nothing is clamped):
+// Value limits (config() fails naming the key, the value and the accepted
+// range; nothing is clamped). The table rows hold them:
 //   - numbers are read whole by util/parse.hpp: no trailing junk, nan or inf;
 //   - an integer must fit its field's type (int, uint32, uint64);
 //   - counts that size allocations (burst.packets and extra.link packets=,
@@ -31,17 +37,24 @@
 //     ecc.emulation_power, dense.wifi_power / zigbee_power / ble_power,
 //     ble.tx_power, lteu.power, extra.link power= / signaling=) are in
 //     [-120, 60] dBm: the -120 dBm floor up to 1 kW;
-//   - wifi.high_share is in [0, 1];
+//   - wifi.high_share is in [0, 1]; medium.cell is 0 (derive) or at least
+//     1 m; ble.connection_interval is in [7.5 ms, 4 s], the Bluetooth LE range;
+//   - fault.event tokens: link= is in [-INT_MAX, INT_MAX], a clock-skew mag=
+//     in [0, 1000] ppm (fault.clock_skew_ppm in (0, 1000]), and a
+//     clock-jitter mag= in [0, 1] (fault::FaultPlan::parse);
 //   - 0 <= ecc.whitespace < ecc.period, checked after every entry applies.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "coex/ble_scenario.hpp"
 #include "coex/scenario.hpp"
+#include "util/parse.hpp"
 #include "util/time.hpp"
 
 namespace bicord::coex {
@@ -94,19 +107,81 @@ class ScenarioSpec {
   /// True when the spec selects the ZigBee/BLE topology (`topology = ble`).
   [[nodiscard]] bool is_ble() const;
 
-  /// Lowers to the Wi-Fi/ZigBee testbed config. Returns nullopt and fills
+  /// Lowers to the config of either topology. Returns nullopt and fills
   /// *error (mentioning key and source line) on malformed values.
   [[nodiscard]] std::optional<ScenarioConfig> config(std::string* error = nullptr) const;
-  /// Lowers to the BLE-extension config (`topology = ble` specs).
-  [[nodiscard]] std::optional<BleScenarioConfig> ble_config(std::string* error = nullptr) const;
 
   /// config() that aborts with the lowering error on stderr — for benches and
   /// examples whose specs are compile-time-known presets + literal overrides.
   [[nodiscard]] ScenarioConfig must_config() const;
-  [[nodiscard]] BleScenarioConfig must_ble_config() const;
 
  private:
   std::vector<Entry> entries_;
 };
 
+/// The key table.
+namespace spec {
+/// Transmit powers run from the -120 dBm floor, below which a signal counts
+/// as nothing (phy/units.hpp), up to 1 kW, far above the 36 dBm ISM EIRP cap.
+inline constexpr double kMaxTxPowerDbm = 60.0;
+
+template <typename T>
+using Field = T& (*)(ScenarioConfig&);
+
+/// A duration in [lo, hi] (us/ms/s suffix).
+struct DurationKey {
+  Field<Duration> field;
+  Duration lo;
+  Duration hi = kMaxParsedDuration;
+};
+/// A transmit power in [phy::kFloorDbm, kMaxTxPowerDbm] dBm.
+struct PowerKey {
+  Field<double> field;
+};
+/// A finite number in [lo, hi], or (lo, hi] when `lo_open`; `or_zero` also
+/// admits 0 where it means "derive the value".
+struct NumberKey {
+  Field<double> field;
+  double lo;
+  double hi;
+  bool lo_open = false;
+  bool or_zero = false;
+};
+template <typename T>
+struct IntegerKey {
+  Field<T> field;
+  T lo;
+  T hi;
+};
+/// true/1/on/yes or false/0/off/no, in any case.
+struct BoolKey {
+  Field<bool> field;
+};
+/// One of `names` in any case; names[i] selects the enumerator E(i).
+template <typename E>
+struct ChoiceKey {
+  Field<E> field;
+  std::span<const std::string_view> names;
+};
+/// A key that does more than set one field; fills *why on a bad value.
+struct SpecialKey {
+  bool (*apply)(const std::string& value, ScenarioConfig& cfg, std::string* why);
+};
+
+using Reader =
+    std::variant<DurationKey, PowerKey, NumberKey, IntegerKey<int>,
+                 IntegerKey<std::uint32_t>, IntegerKey<std::uint64_t>, BoolKey,
+                 ChoiceKey<Topology>, ChoiceKey<Coordination>, ChoiceKey<ZigbeeLocation>,
+                 ChoiceKey<WifiTrafficKind>, SpecialKey>;
+
+struct Key {
+  std::string_view name;
+  Reader reader;
+};
+
+[[nodiscard]] std::span<const Key> keys();
+/// The row for `name`, or nullptr for an unknown key.
+[[nodiscard]] const Key* find(std::string_view name);
+
+}  // namespace spec
 }  // namespace bicord::coex

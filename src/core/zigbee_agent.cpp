@@ -16,7 +16,7 @@ ZigbeeAgentBase::ZigbeeAgentBase(std::unique_ptr<RequesterMac> mac,
 void ZigbeeAgentBase::submit_burst(int count, std::uint32_t payload_bytes) {
   const TimePoint now = sim_.now();
   for (int i = 0; i < count; ++i) {
-    queue_.push_back(Pending{payload_bytes, now, 0});
+    if (queue_.size() < kMaxBacklog) queue_.push_back(Pending{payload_bytes, now, 0});
     ++stats_.generated;
   }
   kick();

@@ -43,6 +43,11 @@ class ZigbeeAgentBase {
   ZigbeeAgentBase(const ZigbeeAgentBase&) = delete;
   ZigbeeAgentBase& operator=(const ZigbeeAgentBase&) = delete;
 
+  /// Most packets the agent queues; one arriving at a full queue is counted
+  /// as generated and discarded, so an offered load the link cannot drain
+  /// does not exhaust memory. Preset backlogs stay in the tens.
+  static constexpr std::size_t kMaxBacklog = 10'000;
+
   /// Hands a burst of `count` packets of `payload_bytes` to the agent
   /// (wire this to zigbee::BurstSource).
   void submit_burst(int count, std::uint32_t payload_bytes);

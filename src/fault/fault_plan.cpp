@@ -95,12 +95,18 @@ bool parse_event_line(const std::string& line, int line_no, FaultEvent* out,
       ok = parse_int(value, &ev.burst_packets, std::numeric_limits<int>::min(),
                      kMaxAllocCount);
     } else if (key == "link") {
-      ok = parse_int(value, &ev.link);
+      ok = parse_int(value, &ev.link, -std::numeric_limits<int>::max());
     } else if (key == "prob") {
       ok = parse_f64(value, &ev.probability) && ev.probability >= 0.0 &&
            ev.probability <= 1.0;
     } else if (key == "mag") {
       ok = parse_f64(value, &ev.magnitude);
+      if (ev.kind == FaultKind::ClockSkew || ev.kind == FaultKind::ClockJitter) {
+        // Both scale timer delays, which overflow for unbounded magnitudes;
+        // skew shares the ppm limit of the fault.clock_skew_ppm spec key.
+        const double max = ev.kind == FaultKind::ClockSkew ? kMaxClockSkewPpm : 1.0;
+        ok = ok && ev.magnitude >= 0.0 && ev.magnitude <= max;
+      }
     } else if (key == "tech") {
       const auto t = parse_tech(value);
       ok = t.has_value();

@@ -59,6 +59,10 @@ enum class FaultKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
+/// Largest ClockSkew magnitude: 1000 ppm (0.1%) is far beyond any real
+/// crystal, and it keeps skewed timer delays in range.
+inline constexpr double kMaxClockSkewPpm = 1000.0;
+
 struct FaultEvent {
   FaultKind kind = FaultKind::CtsLoss;
   /// Activation time (absolute simulation time).
@@ -110,6 +114,9 @@ class FaultPlan {
   /// whole by the util/parse.hpp readers (no trailing junk, nan or inf, and
   /// an int token must fit an int; packets= is at most kMaxAllocCount).
   /// at=, window= and count= must not be negative, and prob= is in [0, 1].
+  /// link= is in [-INT_MAX, INT_MAX] (node handlers negate it); mag= is in
+  /// [0, kMaxClockSkewPpm] for clock-skew and [0, 1] for clock-jitter,
+  /// whose timer delays are scaled by up to 1 + mag.
   /// Returns nullopt (and fills *error) on malformed input.
   [[nodiscard]] static std::optional<FaultPlan> parse(const std::string& text,
                                                      std::string* error = nullptr);

@@ -1,8 +1,10 @@
 #pragma once
 // 2D placement of devices (the paper's office testbed is planar, Fig. 6).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace bicord::phy {
 
@@ -35,9 +37,17 @@ struct CellCoord {
   friend bool operator==(const CellCoord&, const CellCoord&) = default;
 };
 
+/// The cell of a position, saturated at the int32 range. The index stays
+/// exact: clamping is monotone, so it never moves two cells further apart,
+/// and a non-finite position is never audible, so NaN may take any cell.
 [[nodiscard]] inline CellCoord cell_of(Position p, double cell_size_m) {
-  return CellCoord{static_cast<std::int32_t>(std::floor(p.x / cell_size_m)),
-                   static_cast<std::int32_t>(std::floor(p.y / cell_size_m))};
+  const auto index = [cell_size_m](double coord_m) {
+    constexpr double kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr double kMax = std::numeric_limits<std::int32_t>::max();
+    const double c = std::floor(coord_m / cell_size_m);
+    return std::isnan(c) ? 0 : static_cast<std::int32_t>(std::clamp(c, kMin, kMax));
+  };
+  return CellCoord{index(p.x), index(p.y)};
 }
 
 }  // namespace bicord::phy

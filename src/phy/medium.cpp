@@ -19,7 +19,7 @@ Medium::Medium(sim::Simulator& sim, PathLossModel path_loss, MediumTuning tuning
       // back to an arbitrary cell: every window clamps to the occupied
       // bounding box anyway, so the choice only affects constant factors.
       const double r = interference_radius_m(tuning_.max_tx_power_dbm);
-      cell = std::isfinite(r) ? std::max(r / 3.0, 1e-3) : 50.0;
+      cell = std::isfinite(r) ? std::max(r / 3.0, kMinCellM) : 50.0;
     }
     index_ = std::make_unique<SpatialIndex>(cell);
     max_ring_ = index_->ring_for(interference_radius_m(tuning_.max_tx_power_dbm));

@@ -97,6 +97,12 @@ class MediumListener {
   ~MediumListener() = default;
 };
 
+/// Smallest grid cell, explicit or derived. Windows are counted in cells, so
+/// a sub-metre cell makes a 100 m window millions of cells wide, and a
+/// derived cell shrinks that far when max_tx_power_dbm understates the
+/// powers actually used.
+inline constexpr double kMinCellM = 1.0;
+
 /// Performance knobs. The defaults reproduce the historical behavior bit for
 /// bit; enabling the spatial index must not change any simulation output
 /// either — the equivalence suite proves it per seed.
@@ -111,7 +117,8 @@ struct MediumTuning {
   /// Route energy queries and listener fan-out through a uniform-grid
   /// spatial index: O(neighborhood) instead of O(nodes) per event.
   bool spatial_index = false;
-  /// Grid cell edge in metres; 0 derives radius(max_tx_power_dbm) / 3.
+  /// Grid cell edge in metres (the spec key takes at least kMinCellM); 0
+  /// derives max(radius(max_tx_power_dbm) / 3, kMinCellM).
   double cell_size_m = 0.0;
   /// Upper bound on any tx power this medium will carry — sizes the derived
   /// cell and seeds the energy-query window. Exceeding it at begin_tx is

@@ -110,7 +110,7 @@ std::string run_coex(const std::string& name, const ScenarioSpec& spec,
 }
 
 std::string run_ble(const std::string& name, const ScenarioSpec& spec, Duration d) {
-  BleScenario scenario(spec.must_ble_config());
+  BleScenario scenario(spec.must_config());
   scenario.run_for(d);
   const auto r = scenario.report();
   std::ostringstream out;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "coex/ble_scenario.hpp"
+
 using namespace bicord;
 using namespace bicord::coex;
 using namespace bicord::time_literals;
@@ -53,11 +55,7 @@ TEST(ScenarioSpecTest, EveryPresetParsesAndLowers) {
     ASSERT_TRUE(spec.has_value()) << name;
     EXPECT_FALSE(ScenarioSpec::preset_summary(name).empty()) << name;
     std::string error;
-    if (spec->is_ble()) {
-      EXPECT_TRUE(spec->ble_config(&error).has_value()) << name << ": " << error;
-    } else {
-      EXPECT_TRUE(spec->config(&error).has_value()) << name << ": " << error;
-    }
+    EXPECT_TRUE(spec->config(&error).has_value()) << name << ": " << error;
     // Round-trip: a preset survives serialize -> parse unchanged.
     auto again = ScenarioSpec::parse(spec->serialize(), &error);
     ASSERT_TRUE(again.has_value()) << name << ": " << error;
@@ -88,10 +86,11 @@ TEST(ScenarioSpecTest, PresetValuesMatchThePaperBenches) {
 
   auto ble = ScenarioSpec::preset("ble");
   ASSERT_TRUE(ble->is_ble());
-  auto bcfg = ble->must_ble_config();
+  auto bcfg = ble->must_config();
+  EXPECT_EQ(bcfg.topology, Topology::Ble);
   EXPECT_EQ(bcfg.seed, 2626u);
-  EXPECT_EQ(bcfg.ble_links, 4);
-  EXPECT_TRUE(bcfg.coordinate);
+  EXPECT_EQ(bcfg.ble.links, 4);
+  EXPECT_TRUE(bcfg.ble.coordinate);
   EXPECT_EQ(bcfg.burst.mean_interval, 150_ms);
 }
 
@@ -406,21 +405,47 @@ TEST(ScenarioSpecTest, ClockSkewPpmLowersToFaultEventAndValidatesRange) {
   }
 }
 
+TEST(ScenarioSpecTest, BleConnectionIntervalKeepsTheBluetoothRange) {
+  // Bluetooth LE connection intervals run from 7.5 ms to 4 s; at 1 us every
+  // link's packets overlapped its next connection event and a 100 ms run
+  // took minutes.
+  for (const char* bad : {"ble.connection_interval = 1us\n",
+                          "ble.connection_interval = 7499us\n",
+                          "ble.connection_interval = 4000001us\n"}) {
+    expect_rejected(bad);
+  }
+  for (const char* good :
+       {"ble.connection_interval = 7500us\n", "ble.connection_interval = 4s\n"}) {
+    expect_accepted(good);
+  }
+}
+
 TEST(ScenarioSpecTest, TopologySwitchSelectsBleLowering) {
   std::string error;
   auto spec = ScenarioSpec::parse(
       "topology = ble\nseed = 7\nble.links = 8\nble.coordinate = false\n", &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_TRUE(spec->is_ble());
-  auto cfg = spec->ble_config(&error);
+  auto cfg = spec->config(&error);
   ASSERT_TRUE(cfg.has_value()) << error;
   EXPECT_EQ(cfg->seed, 7u);
-  EXPECT_EQ(cfg->ble_links, 8);
-  EXPECT_FALSE(cfg->coordinate);
+  EXPECT_EQ(cfg->ble.links, 8);
+  EXPECT_FALSE(cfg->ble.coordinate);
 
   ScenarioSpec plain;
   plain.set("seed", std::uint64_t{3});
   EXPECT_FALSE(plain.is_ble());
+}
+
+TEST(ScenarioSpecTest, BleTopologyTakesTheSharedKeys) {
+  // One config type: pathloss.* reaches the BLE medium, and seed and burst.*
+  // fall back to the ScenarioConfig defaults like every other key.
+  std::string error;
+  auto spec = ScenarioSpec::parse("topology = ble\npathloss.exponent = 3.5\n", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  BleScenario scenario(spec->must_config());
+  EXPECT_EQ(scenario.medium().path_loss().exponent, 3.5);
+  EXPECT_EQ(scenario.simulator().seed(), ScenarioConfig{}.seed);
 }
 
 }  // namespace

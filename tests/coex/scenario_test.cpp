@@ -147,6 +147,19 @@ TEST(ScenarioTest, DeviceMobilityMovesTheSender) {
   EXPECT_LT(phy::distance(location_position(cfg.location), after), 1.0);
 }
 
+TEST(ScenarioTest, OverloadedZigbeeBacklogIsCapped) {
+  // 10,000 packets every microsecond: the queue stops at kMaxBacklog and the
+  // rest are generated but discarded, instead of exhausting memory.
+  auto cfg = config_for(Coordination::BiCord);
+  cfg.burst.packets_per_burst = 10'000;
+  cfg.burst.mean_interval = Duration::from_us(1);
+  cfg.burst.poisson = false;
+  Scenario sc(cfg);
+  sc.run_for(Duration::from_us(50));
+  EXPECT_EQ(sc.zigbee_agent().backlog(), core::ZigbeeAgentBase::kMaxBacklog);
+  EXPECT_GT(sc.zigbee_stats().generated, 4 * core::ZigbeeAgentBase::kMaxBacklog);
+}
+
 TEST(ScenarioTest, PriorityTrafficPolicyIgnoresDuringVideo) {
   auto cfg = config_for(Coordination::BiCord);
   cfg.wifi_traffic = WifiTrafficKind::Priority;

@@ -88,17 +88,25 @@ TEST(FaultPlanTest, ParseRejectsMalformedInput) {
 
   // Out-of-range values used to parse: a probability of 2, an event before
   // t=0 that fired at 0 us, and negative counts and windows that did nothing.
+  // A link of INT_MIN overflowed when the node handler negated it, and huge
+  // skew and jitter magnitudes overflowed the scaled timer delays.
   for (const char* bad :
        {"frame-corrupt at=100ms window=500ms prob=2",
         "frame-corrupt at=100ms window=500ms prob=-0.1", "cts-loss at=-5ms",
-        "cts-loss at=1s count=-5", "csi-dropout at=1s window=-500ms"}) {
+        "cts-loss at=1s count=-5", "csi-dropout at=1s window=-500ms",
+        "node-leave at=0us link=-2147483648", "node-join at=0us link=-2147483648",
+        "clock-skew at=0us mag=1e300", "clock-skew at=0us mag=1000.5",
+        "clock-skew at=0us mag=-1", "clock-jitter at=0us window=1s mag=1e300",
+        "clock-jitter at=0us window=1s mag=1.5"}) {
     EXPECT_FALSE(FaultPlan::parse(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("bad value"), std::string::npos) << error;
   }
   // The bounds themselves are legal.
   for (const char* good :
        {"frame-corrupt at=0us window=0us prob=0", "frame-corrupt at=1s prob=1",
-        "cts-loss at=1s count=0"}) {
+        "cts-loss at=1s count=0", "node-leave at=0us link=-2147483647",
+        "node-join at=0us link=2147483647", "clock-skew at=0us mag=1000",
+        "clock-jitter at=0us window=1s mag=1", "rssi-glitch at=1s mag=-30"}) {
     EXPECT_TRUE(FaultPlan::parse(good, &error).has_value()) << good << error;
   }
 }

@@ -81,6 +81,7 @@ struct ScriptParams {
   std::size_t nodes = 50;
   int clusters = 0;          ///< 0 = uniform placement
   double area_m = 400.0;
+  double shift_m = 0.0;  ///< added to both coordinates of every site
   double cluster_sigma_m = 40.0;
   double shadow_sigma_db = 0.0;
   double snap_floor_dbm = -97.0;
@@ -150,7 +151,8 @@ void run_equivalence(const ScriptParams& p) {
   pp.area_m = p.area_m;
   pp.clusters = p.clusters;
   pp.cluster_sigma_m = p.cluster_sigma_m;
-  const auto sites = coex::generate_placement(pp, p.nodes, p.seed * 31 + 7);
+  auto sites = coex::generate_placement(pp, p.nodes, p.seed * 31 + 7);
+  for (auto& site : sites) site = Position{site.x + p.shift_m, site.y + p.shift_m};
 
   World brute(p, sites, false);
   World indexed(p, sites, true);
@@ -368,6 +370,20 @@ TEST(MediumEquivalence, SubCellJitterAroundLongTransmissions) {
   p.churn = false;
   p.steps = 400;
   p.seed = 77;
+  run_equivalence(p);
+}
+
+TEST(MediumEquivalence, SitesBeyondTheInt32CellRange) {
+  // Clusters spread over +-5e11 m: at the derived ~37 m cell most sites lie
+  // beyond +-2^31 cells, where cell_of saturates. Saturation never moves
+  // two cells further apart, so every audible edge must still be delivered.
+  ScriptParams p;
+  p.nodes = 200;
+  p.clusters = 8;
+  p.area_m = 1e12;
+  p.shift_m = -5e11;
+  p.steps = 250;
+  p.seed = 88;
   run_equivalence(p);
 }
 

@@ -82,6 +82,13 @@ TEST(BicordsimCliTest, UnknownPresetExitsWithUsageError) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
 }
 
+TEST(BicordsimCliTest, BleTopologyIsRefusedFromAPresetOrASet) {
+  // bicordsim builds only the Wi-Fi topology; --set used to slip past the
+  // check and run the Wi-Fi testbed for a BLE spec.
+  expect_usage_error(run_sim("--scenario ble --seconds 1"), "topology=ble");
+  expect_usage_error(run_sim("--set topology=ble --seconds 1"), "topology=ble");
+}
+
 TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
   expect_usage_error(
       run_sim("--wifi-traffic priority --set wifi.priority_cycle=0us --seconds 1"),

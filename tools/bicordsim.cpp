@@ -196,12 +196,6 @@ int main(int argc, char** argv) {
   if (have_scenario && !load_scenario_spec(flags.get_string("scenario"), spec)) {
     return 2;
   }
-  if (spec.is_ble()) {
-    std::fprintf(stderr,
-                 "error: topology=ble specs drive the BLE extension "
-                 "(bench_ext_ble); bicordsim runs the Wi-Fi topology\n");
-    return 2;
-  }
   // Every scenario flag lowers to a spec key. Without --scenario the flag
   // defaults describe the whole scenario (exactly the spec defaults); with a
   // spec, only flags the user explicitly passed override it.
@@ -249,6 +243,13 @@ int main(int argc, char** argv) {
       return 2;
     }
     spec.set(trim(kv.substr(0, eq)), trim(kv.substr(eq + 1)));
+  }
+  // Checked after --set, so `--set topology=ble` is refused too.
+  if (spec.is_ble()) {
+    std::fprintf(stderr,
+                 "error: topology=ble specs drive the BLE extension "
+                 "(bench_ext_ble); bicordsim runs the Wi-Fi topology\n");
+    return 2;
   }
 
   std::string spec_error;
