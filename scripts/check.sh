@@ -7,10 +7,10 @@
 # build is configured with -DBICORD_WERROR=ON, so a new compiler warning
 # fails the gate.
 #
-# Usage:  scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs]
+# Usage:  scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs|perfbench]
 #   default — plain + lint (clang-tidy + bicord_lint) + dense smoke +
-#             failover smoke + TSAN + ASan/UBSan, i.e. warnings -> static
-#             gates -> tests -> sanitizers
+#             benchmark self-test + failover smoke + TSAN + ASan/UBSan,
+#             i.e. warnings -> static gates -> tests -> sanitizers
 #   fast    — plain build + tests only
 #   lint    — static gates only: clang-tidy (skipped with a notice when the
 #             tool is absent) and tools/bicord_lint; any finding fails (see
@@ -35,6 +35,11 @@
 #             absolute-time comparison is opt-in via scripts/bench.sh compare
 #   examples — builds and runs all four examples as smoke tests; any nonzero
 #             exit (or a crash mid-render) fails the gate
+#   perfbench — the repository benchmark's self-test (perfbench/run.py
+#             --selftest, Release tree in .bench_build/): the stepped driver
+#             matches run_for, traced and untraced runs agree, 1- and
+#             2-worker sweeps aggregate equally, and every workload runs
+#             once with and without tracing; part of the default full gate
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,9 +47,9 @@ cd "$(dirname "$0")/.."
 MODE="${1:-full}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 case "$MODE" in
-  full|fast|lint|chaos|bench|examples|dense|failover|techs) ;;
+  full|fast|lint|chaos|bench|examples|dense|failover|techs|perfbench) ;;
   *)
-    echo "usage: scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs]" >&2
+    echo "usage: scripts/check.sh [fast|lint|chaos|bench|examples|dense|failover|techs|perfbench]" >&2
     exit 1
     ;;
 esac
@@ -52,6 +57,11 @@ esac
 if [ "$MODE" = "bench" ]; then
   echo "== perf smoke: bench_micro allocation invariants =="
   exec scripts/bench.sh smoke
+fi
+
+if [ "$MODE" = "perfbench" ]; then
+  echo "== benchmark self-test =="
+  exec python3 perfbench/run.py --selftest
 fi
 
 if [ "$MODE" = "lint" ]; then
@@ -207,6 +217,10 @@ echo "== dense smoke: spatial index vs brute force =="
 dense_smoke
 
 echo
+echo "== benchmark self-test =="
+python3 perfbench/run.py --selftest
+
+echo
 echo "== ThreadSanitizer: runner tests + failover soak =="
 cmake -B build-tsan -S . -DBICORD_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j "$JOBS" --target runner_tests fault_tests
@@ -224,4 +238,4 @@ echo "== failover smoke: bicordsim failover preset =="
 failover_smoke_sim
 
 echo
-echo "OK: plain, lint, dense smoke, TSAN (runner+failover), ASan/UBSan, failover all green"
+echo "OK: plain, lint, dense smoke, benchmark self-test, TSAN (runner+failover), ASan/UBSan, failover all green"

@@ -466,14 +466,15 @@ void Scenario::build_dense() {
     dense_zigbee_.push_back(std::move(ep));
   }
 
-  dense_ble_.reserve(ble_nodes);
+  if (ble_nodes == 0) return;
+  interferers::BluetoothField::Config bt;
+  bt.tx_power_dbm = f.ble_tx_power_dbm;
+  dense_ble_ = std::make_unique<interferers::BluetoothField>(*medium_, bt);
+  // Started empty, so each device splits its stream and runs its first slot
+  // before the next one joins.
+  dense_ble_->start();
   for (std::size_t i = 0; i < ble_nodes; ++i) {
-    const phy::NodeId node = medium_->add_node("dense-bt", sites[site++]);
-    interferers::BluetoothDevice::Config bt;
-    bt.tx_power_dbm = f.ble_tx_power_dbm;
-    auto device = std::make_unique<interferers::BluetoothDevice>(*medium_, node, bt);
-    device->start();
-    dense_ble_.push_back(std::move(device));
+    dense_ble_->add(medium_->add_node("dense-bt", sites[site++]));
   }
 }
 

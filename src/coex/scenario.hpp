@@ -256,7 +256,9 @@ class Scenario {
   /// non-empty). Counts are devices, not nodes: a pair/link spans two nodes.
   [[nodiscard]] std::size_t dense_wifi_pair_count() const { return dense_wifi_.size(); }
   [[nodiscard]] std::size_t dense_zigbee_link_count() const { return dense_zigbee_.size(); }
-  [[nodiscard]] std::size_t dense_ble_count() const { return dense_ble_.size(); }
+  [[nodiscard]] std::size_t dense_ble_count() const {
+    return dense_ble_ == nullptr ? 0 : dense_ble_->size();
+  }
   /// Frames delivered across every dense Wi-Fi pair (activity sanity checks).
   [[nodiscard]] std::uint64_t dense_wifi_delivered() const;
   /// Packets delivered across every dense ZigBee link.
@@ -339,7 +341,7 @@ class Scenario {
   std::unique_ptr<core::GrantorElection> election_;
   std::vector<DenseWifiPair> dense_wifi_;
   std::vector<ZigbeeEndpoint> dense_zigbee_;
-  std::vector<std::unique_ptr<interferers::BluetoothDevice>> dense_ble_;
+  std::unique_ptr<interferers::BluetoothField> dense_ble_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;
 
   AirtimeProbe probe_;

@@ -178,9 +178,10 @@ void FreeBeeCtcLink::beacon_tick() {
     // The receiver reads the beacon's timing only on a clear channel: any
     // Wi-Fi activity overlapping the beacon hides it (paper Sec. III-B).
     bool active_at_start = false;
-    for (const auto& tx : receiver_.medium().active()) {
-      if (tx.frame.tech == phy::Technology::WiFi) active_at_start = true;
-    }
+    receiver_.medium().for_each_active(
+        [&active_at_start](const phy::ActiveTransmission& tx) {
+          if (tx.frame.tech == phy::Technology::WiFi) active_at_start = true;
+        });
 
     zigbee::ZigbeeMac::SendRequest beacon;
     beacon.dst = phy::kBroadcastNode;

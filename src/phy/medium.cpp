@@ -68,8 +68,9 @@ void Medium::set_position(NodeId id, Position pos) {
   // and watermark-filter.
   const std::vector<ListenerRef>& mover_refs = node_listeners_[id];
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    const NodeId src = active_[i].frame.src;
     TxAux& aux = tx_aux_[i];
+    if (aux.ended) continue;
+    const NodeId src = active_[i].frame.src;
     if (src == id) {
       gather_audible_listeners(pos, new_cell, aux.ring, aux.radius2, aux.pinned);
     } else if (!mover_refs.empty() && audible_at(aux.radius2, nodes_[src].pos, pos)) {
@@ -143,6 +144,7 @@ void Medium::detach(MediumListener* listener) {
     }
   }
   for (auto& aux : tx_aux_) {
+    if (aux.ended) continue;
     if (!aux.audience.empty()) scrub(aux.audience);
     if (!aux.pinned.empty()) scrub(aux.pinned);
   }
@@ -336,14 +338,14 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
 }
 
 void Medium::finish_tx(TxId id) {
-  const auto it = std::find_if(active_.begin(), active_.end(),
-                               [id](const ActiveTransmission& t) { return t.id == id; });
-  if (it == active_.end()) return;  // defensive: already removed
-  const auto i = static_cast<std::size_t>(it - active_.begin());
-  const ActiveTransmission tx = *it;
+  const std::size_t i = live_index(id);
+  if (i == active_.size()) return;  // defensive: already removed
+  const ActiveTransmission tx = active_[i];
+  // Moving out leaves the entry's audience and pin storage empty; the entry
+  // itself stays as a tombstone until more than half the vector has ended.
   TxAux aux = std::move(tx_aux_[i]);
-  active_.erase(it);
-  tx_aux_.erase(tx_aux_.begin() + static_cast<std::ptrdiff_t>(i));
+  tx_aux_[i].ended = true;
+  if (2 * ++ended_ > active_.size()) compact_active();
   auto& src_list = node_active_tx_[tx.frame.src];
   src_list.erase(std::find(src_list.begin(), src_list.end(), id));
 
@@ -377,6 +379,22 @@ void Medium::finish_tx(TxId id) {
   notify_audience(audience, [&tx](MediumListener* l) { l->on_tx_end(tx); });
   release_audience();
   release_aux_audience(std::move(aux.audience));
+}
+
+void Medium::compact_active() {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (tx_aux_[i].ended) continue;
+    if (kept != i) {
+      active_[kept] = active_[i];
+      tx_aux_[kept] = std::move(tx_aux_[i]);
+    }
+    ++kept;
+  }
+  const auto end = static_cast<std::ptrdiff_t>(kept);
+  active_.erase(active_.begin() + end, active_.end());
+  tx_aux_.erase(tx_aux_.begin() + end, tx_aux_.end());
+  ended_ = 0;
 }
 
 namespace {
@@ -448,7 +466,7 @@ double Medium::noise_floor_mw(Band band) const {
 
 double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
   double acc_mw = noise_floor_mw(rx_band);
-  if (active_.empty()) return mw_to_dbm(acc_mw);
+  if (active_count() == 0) return mw_to_dbm(acc_mw);
   const Position rx_pos = node(rx).pos;
   // Below the crossover the linear scan touches fewer cache lines than the
   // window does cell probes, so take it even when indexed: it visits a
@@ -457,12 +475,14 @@ double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
   const std::size_t window_probes =
       static_cast<std::size_t>(2 * std::min<std::int64_t>(max_ring_, 128) + 1) *
       static_cast<std::size_t>(2 * std::min<std::int64_t>(max_ring_, 128) + 1);
-  if (index_ == nullptr || active_.size() <= window_probes) {
+  if (index_ == nullptr || active_count() <= window_probes) {
     for (std::size_t i = 0; i < active_.size(); ++i) {
+      const TxAux& aux = tx_aux_[i];
+      if (aux.ended) continue;
       const ActiveTransmission& tx = active_[i];
       if (tx.frame.src == rx || tx.frame.src == exclude_src) continue;
       if (tx.fault_dropped) continue;  // invisible to every other node
-      if (!audible_at(tx_aux_[i].radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
+      if (!audible_at(aux.radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
       acc_mw += dbm_to_mw(rx_power_dbm(tx, rx, rx_band));
     }
     return mw_to_dbm(acc_mw);
@@ -470,7 +490,8 @@ double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
   // Gather candidate transmissions from the grid neighborhood. Sorting by
   // TxId recreates the exact iteration (and therefore FP summation) order of
   // the brute-force loop — active_ is ascending by id — and the dedupe
-  // guards against a window visiting a bucket twice.
+  // guards against a window visiting a bucket twice. node_active_tx_ holds
+  // live ids only, so no candidate matches an ended entry.
   energy_scratch_.clear();
   index_->for_each_in_window(index_->cell_of_node(rx), max_ring_, [this](NodeId n) {
     const auto& txs = node_active_tx_[n];

@@ -17,6 +17,15 @@
 // The audibility predicate that decides what a receiver can hear is shared
 // by both paths, so the equivalence is by construction, and the test suite
 // (tests/phy/medium_equivalence_test.cpp) enforces it.
+//
+// In-flight transmissions live in one vector, ascending by TxId: energy sums
+// visit them in that order, so it fixes the floating-point summation order
+// both paths share. An ended transmission is found by binary search and
+// marked ended in place, and the vector is compacted in one pass once more
+// than half of it has ended: retiring a transmission costs a binary search
+// plus amortized O(1) moves, not a mid-vector erase. Ended entries are
+// invisible to callers: find_active(), active_count() and for_each_active()
+// report only what is on the air.
 
 #include <algorithm>
 #include <array>
@@ -160,7 +169,22 @@ class Medium {
   /// automatically. Returns the transmission id.
   TxId begin_tx(const Frame& frame, Band band, double tx_power_dbm, Duration duration);
 
-  [[nodiscard]] const std::vector<ActiveTransmission>& active() const { return active_; }
+  /// The transmission `id` while it is on the air; nullptr once it has ended
+  /// or for an id never issued.
+  [[nodiscard]] const ActiveTransmission* find_active(TxId id) const {
+    const std::size_t i = live_index(id);
+    return i == active_.size() ? nullptr : &active_[i];
+  }
+  /// Number of transmissions on the air.
+  [[nodiscard]] std::size_t active_count() const { return active_.size() - ended_; }
+  /// Calls fn(const ActiveTransmission&) for every transmission on the air,
+  /// in ascending TxId order. fn must not begin or end transmissions.
+  template <typename Fn>
+  void for_each_active(Fn&& fn) const {
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (!tx_aux_[i].ended) fn(active_[i]);
+    }
+  }
 
   // --- propagation / energy queries ---------------------------------------
 
@@ -230,6 +254,8 @@ class Medium {
 
   /// Per-active-transmission bookkeeping, parallel to active_.
   struct TxAux {
+    /// Off the air, awaiting compaction: every loop over active_ skips it.
+    bool ended = false;
     double radius2 = 0.0;         ///< audibility radius^2 for this power
     std::uint64_t watermark = 0;  ///< listener seq fence captured at begin
     std::int64_t ring = 0;        ///< window ring for this tx (indexed mode)
@@ -271,6 +297,17 @@ class Medium {
   };
 
   void finish_tx(TxId id);
+  /// Index of live transmission `id` in active_, or active_.size().
+  [[nodiscard]] std::size_t live_index(TxId id) const {
+    const auto it = std::lower_bound(
+        active_.begin(), active_.end(), id,
+        [](const ActiveTransmission& t, TxId v) { return t.id < v; });
+    const auto i = static_cast<std::size_t>(it - active_.begin());
+    return it != active_.end() && it->id == id && !tx_aux_[i].ended ? i : active_.size();
+  }
+  /// Drops ended entries from active_ and tx_aux_ in one order-preserving
+  /// pass. Runs only from finish_tx, which no loop over either vector calls.
+  void compact_active();
   [[nodiscard]] const NodeEntry& node(NodeId id) const;
   [[nodiscard]] const RadiusEntry& radius_entry(double tx_power_dbm) const;
   [[nodiscard]] static bool audible_at(double radius2, Position src, Position dst) {
@@ -384,8 +421,9 @@ class Medium {
   MediumTuning tuning_;
   std::unique_ptr<SpatialIndex> index_;  ///< null = brute-force path
   std::vector<NodeEntry> nodes_;
-  std::vector<ActiveTransmission> active_;  ///< ascending by TxId
+  std::vector<ActiveTransmission> active_;  ///< ascending by TxId, ended included
   std::vector<TxAux> tx_aux_;               ///< parallel to active_
+  std::size_t ended_ = 0;                   ///< entries of active_ marked ended
   /// Active TxIds per source node — a moving source implicitly carries its
   /// transmissions to its new cell. Maintained in both modes (cheap).
   std::vector<std::vector<TxId>> node_active_tx_;

@@ -52,11 +52,8 @@ void Radio::apply_band(Band band) {
   // SINR queries never mix new-band noise with old-band signal powers.
   foreign_mw_sum_ = 0.0;
   for (auto& o : ongoing_) {
-    for (const auto& tx : medium_.active()) {
-      if (tx.id == o.id) {
-        o = make_ongoing(tx, o.fading_db);
-        break;
-      }
+    if (const ActiveTransmission* tx = medium_.find_active(o.id)) {
+      o = make_ongoing(*tx, o.fading_db);
     }
     foreign_mw_sum_ += o.rx_power_mw;
   }

@@ -1,5 +1,7 @@
 #include "wifi/traffic.hpp"
 
+#include <stdexcept>
+
 namespace bicord::wifi {
 
 CbrSource::CbrSource(WifiMac& mac, phy::NodeId dst, std::uint32_t payload_bytes,
@@ -19,7 +21,11 @@ void CbrSource::stop() { task_.stop(); }
 
 SaturatedSource::SaturatedSource(WifiMac& mac, phy::NodeId dst,
                                  std::uint32_t payload_bytes, int depth)
-    : mac_(mac), dst_(dst), payload_bytes_(payload_bytes), depth_(depth) {}
+    : mac_(mac), dst_(dst), payload_bytes_(payload_bytes), depth_(depth) {
+  if (depth_ > static_cast<int>(WifiMac::kMaxQueue)) {
+    throw std::invalid_argument("SaturatedSource: depth above WifiMac::kMaxQueue");
+  }
+}
 
 void SaturatedSource::start() {
   running_ = true;

@@ -36,7 +36,8 @@ class CbrSource {
 };
 
 /// Backlogged sender: keeps `depth` frames queued at all times, refilling as
-/// the MAC drains them. Models a large file transfer.
+/// the MAC drains them. Models a large file transfer. `depth` may not exceed
+/// WifiMac::kMaxQueue (the refill could never reach it).
 class SaturatedSource {
  public:
   SaturatedSource(WifiMac& mac, phy::NodeId dst, std::uint32_t payload_bytes,

@@ -41,6 +41,10 @@ WifiMac::WifiMac(phy::Medium& medium, phy::NodeId node, Config config)
 }
 
 void WifiMac::enqueue(const SendRequest& req) {
+  if (queue_.size() >= kMaxQueue) {
+    ++discarded_;
+    return;
+  }
   // push_back(Attempt{...}), not emplace_back: Attempt is an aggregate, and
   // parenthesized aggregate init (P0960) needs Clang 16 — above our floor.
   queue_.push_back(Attempt{req, sim_.now(), next_seq_++, 0, config_.timings.cw_min, 0, false});

@@ -82,9 +82,17 @@ class WifiMac {
   void set_rx_hook(RxHook cb) { rx_hook_ = std::move(cb); }
   void set_pause_end_callback(PauseEndCallback cb) { pause_end_cb_ = std::move(cb); }
 
-  /// Queues a frame for transmission through the normal DCF procedure.
+  /// Most frames enqueue() holds. A frame offered to a full queue is
+  /// discarded and counted, so an offered load the channel cannot drain does
+  /// not exhaust memory; the saturated and priority sources keep at most 24
+  /// queued. Same bound as core::ZigbeeAgentBase::kMaxBacklog.
+  static constexpr std::size_t kMaxQueue = 10'000;
+
+  /// Queues a frame for transmission through the normal DCF procedure, or
+  /// discards it, spending no sequence number, when kMaxQueue are queued.
   void enqueue(const SendRequest& req);
-  /// Queues at the front (used for time-critical CTS reservations).
+  /// Queues at the front (used for time-critical CTS reservations). Never
+  /// discarded: the BiCord reservation must go out even behind a full queue.
   void enqueue_front(const SendRequest& req);
 
   /// Silences this MAC for `d` from now (white space / voluntary deferral).
@@ -101,6 +109,8 @@ class WifiMac {
   // Stats.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  /// Frames enqueue() turned away at a full queue.
+  [[nodiscard]] std::uint64_t discarded() const { return discarded_; }
 
  private:
   struct Attempt {
@@ -155,6 +165,7 @@ class WifiMac {
 
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t discarded_ = 0;
 };
 
 }  // namespace bicord::wifi

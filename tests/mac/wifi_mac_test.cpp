@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -72,6 +73,33 @@ TEST_F(WifiMacFixture, QueueDrainsInOrder) {
   sim.run_for(50_ms);
   ASSERT_EQ(seqs.size(), 5u);
   for (std::size_t i = 1; i < seqs.size(); ++i) EXPECT_GT(seqs[i], seqs[i - 1]);
+}
+
+TEST_F(WifiMacFixture, FullQueueDiscardsWithoutSpendingSequenceNumbers) {
+  // A 1 us CBR interval used to grow the queue by 10^6 frames per sim-s.
+  std::vector<std::uint64_t> seqs;
+  mac_a->set_sent_callback(
+      [&](const WifiMac::SendOutcome& o) { seqs.push_back(o.frame.seq); });
+  // The first frame goes straight to the head of line; the queue fills
+  // behind it.
+  for (std::size_t i = 0; i < WifiMac::kMaxQueue + 5; ++i) {
+    mac_a->enqueue({node_b, 200, FrameKind::Data, Duration::zero(), 0});
+  }
+  EXPECT_EQ(mac_a->queue_depth(), WifiMac::kMaxQueue);
+  EXPECT_EQ(mac_a->discarded(), 4u);
+  // The reservation path is never capped, and its frame takes the next
+  // sequence number after the last queued one.
+  mac_a->enqueue_front({node_b, 200, FrameKind::Data, Duration::zero(), 0});
+  EXPECT_EQ(mac_a->queue_depth(), WifiMac::kMaxQueue + 1);
+  sim.run_for(10_ms);
+  ASSERT_GE(seqs.size(), 3u);
+  EXPECT_EQ(seqs[0], 1u);
+  EXPECT_EQ(seqs[1], WifiMac::kMaxQueue + 2);
+  EXPECT_EQ(seqs[2], 2u);
+  EXPECT_EQ(mac_a->discarded(), 4u);
+  // A saturated source deeper than the cap could never fill its queue.
+  EXPECT_THROW(SaturatedSource(*mac_a, node_b, 200, static_cast<int>(WifiMac::kMaxQueue) + 1),
+               std::invalid_argument);
 }
 
 TEST_F(WifiMacFixture, EnqueueFrontPreempts) {

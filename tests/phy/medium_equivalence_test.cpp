@@ -264,15 +264,15 @@ void run_equivalence(const ScriptParams& p) {
       indexed.sim_.run_for(dt);
       ASSERT_EQ(brute.sim_.now().us(), indexed.sim_.now().us());
     }
-    ASSERT_EQ(brute.medium_->active().size(), indexed.medium_->active().size());
+    ASSERT_EQ(brute.medium_->active_count(), indexed.medium_->active_count());
     probe(step);
   }
 
   // Drain every scheduled end event, then compare the recorded streams.
   brute.sim_.run_for(Duration::from_ms(200));
   indexed.sim_.run_for(Duration::from_ms(200));
-  ASSERT_TRUE(brute.medium_->active().empty());
-  ASSERT_TRUE(indexed.medium_->active().empty());
+  ASSERT_EQ(brute.medium_->active_count(), 0u);
+  ASSERT_EQ(indexed.medium_->active_count(), 0u);
 
   ASSERT_EQ(brute.bound_.size(), indexed.bound_.size());
   for (std::size_t i = 0; i < brute.bound_.size(); ++i) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "phy/radio.hpp"
 #include "phy/units.hpp"
 #include "sim/simulator.hpp"
 
@@ -144,11 +147,14 @@ TEST_F(Fixture, AirtimeAccounting) {
 
 TEST_F(Fixture, ActiveListReflectsInFlight) {
   const NodeId tx = medium.add_node("tx", {0.0, 0.0});
-  EXPECT_TRUE(medium.active().empty());
-  medium.begin_tx(zigbee_frame(tx), zigbee_channel(24), 0.0, 1_ms);
-  EXPECT_EQ(medium.active().size(), 1u);
+  EXPECT_EQ(medium.active_count(), 0u);
+  const TxId id = medium.begin_tx(zigbee_frame(tx), zigbee_channel(24), 0.0, 1_ms);
+  EXPECT_EQ(medium.active_count(), 1u);
+  ASSERT_NE(medium.find_active(id), nullptr);
+  EXPECT_EQ(medium.find_active(id)->id, id);
   sim.run_for(2_ms);
-  EXPECT_TRUE(medium.active().empty());
+  EXPECT_EQ(medium.active_count(), 0u);
+  EXPECT_EQ(medium.find_active(id), nullptr);
 }
 
 TEST_F(Fixture, BeginTxValidatesArguments) {
@@ -364,6 +370,140 @@ TEST(MediumNaNSnapFloor, RadiusFallsBackToNeverCull) {
   sim.run_for(2_ms);
   EXPECT_EQ(own.ends, 1);
   medium.detach(&own);
+}
+
+// --- retirement of ended transmissions --------------------------------------
+//
+// An ended transmission stays in the medium's list, marked, until more than
+// half the list has ended. Two waves of overlapping transmissions whose ends
+// are a permutation of their TxIds leave ended entries between live ones and
+// drive five compactions (at 19 of 36 ended, then 9 of 17, 5 of 8, 2 of 3
+// and 1 of 1). After every end, a marked entry must be invisible to every
+// reader.
+
+/// The live set as the notifications alone describe it: starts arrive in
+/// TxId order and an end removes its start, so `live` stays ascending.
+struct LiveSet final : MediumListener {
+  std::vector<ActiveTransmission> live;
+  std::vector<TxId> ended;
+  void on_tx_start(const ActiveTransmission& tx) override { live.push_back(tx); }
+  void on_tx_end(const ActiveTransmission& tx) override {
+    live.erase(std::find_if(live.begin(), live.end(),
+                            [&tx](const ActiveTransmission& t) { return t.id == tx.id; }));
+    ended.push_back(tx.id);
+  }
+};
+
+struct RetirementWorld {
+  static constexpr NodeId kQuietNode = 5;  ///< listens, never transmits
+
+  explicit RetirementWorld(bool indexed)
+      : sim(3), medium(sim, PathLossModel{40.0, 3.0, 0.0, 0.1}, tuning(indexed)) {
+    for (int i = 0; i <= static_cast<int>(kQuietNode); ++i) {
+      medium.add_node("n", {3.0 * i, 2.0 * (i % 2)});
+    }
+    medium.attach(&log);
+  }
+
+  static MediumTuning tuning(bool indexed) {
+    MediumTuning t;
+    t.spatial_index = indexed;
+    // Every node in one cell: energy queries take the windowed branch
+    // while more than 25 (a ring-2 window) are live.
+    t.cell_size_m = 1e5;
+    return t;
+  }
+
+  /// Transmission i ends `len(i)` after now; sources cycle over the
+  /// transmitting nodes, and bands over Wi-Fi and Bluetooth channels.
+  template <typename Len>
+  void begin_wave(int first, int count, Len len) {
+    for (int i = first; i < first + count; ++i) {
+      Frame f;
+      f.tech = i % 3 == 0 ? Technology::WiFi : Technology::Bluetooth;
+      f.src = static_cast<NodeId>(i % kQuietNode);
+      const Band band = i % 3 == 0 ? wifi_channel(1 + 5 * ((i / 3) % 3))
+                                   : bluetooth_channel((7 * i) % 79);
+      medium.begin_tx(f, band, i % 3 == 0 ? 20.0 : 4.0, len(i - first));
+    }
+  }
+
+  void expect_only_live_visible() const {
+    std::vector<TxId> visible;
+    medium.for_each_active([&](const ActiveTransmission& tx) { visible.push_back(tx.id); });
+    std::vector<TxId> live;
+    for (const ActiveTransmission& tx : log.live) live.push_back(tx.id);
+    EXPECT_EQ(visible, live);
+    EXPECT_EQ(medium.active_count(), live.size());
+    for (const TxId id : live) {
+      const ActiveTransmission* tx = medium.find_active(id);
+      ASSERT_NE(tx, nullptr) << id;
+      EXPECT_EQ(tx->id, id);
+    }
+    for (const TxId id : log.ended) EXPECT_EQ(medium.find_active(id), nullptr) << id;
+  }
+
+  /// energy_dbm's sum written out over the live set, in its order.
+  [[nodiscard]] double live_energy_dbm(NodeId rx, Band band) const {
+    double acc_mw = dbm_to_mw(Medium::noise_floor_dbm(band));
+    for (const ActiveTransmission& tx : log.live) {
+      if (tx.frame.src == rx || !medium.audible(tx, rx)) continue;
+      acc_mw += dbm_to_mw(medium.rx_power_dbm(tx, rx, band));
+    }
+    return mw_to_dbm(acc_mw);
+  }
+
+  sim::Simulator sim;
+  Medium medium;
+  LiveSet log;
+};
+
+TEST(MediumRetirement, EndedTransmissionsNeverLeak) {
+  RetirementWorld brute(false);
+  RetirementWorld indexed(true);
+  ASSERT_TRUE(indexed.medium.spatially_indexed());
+  Radio::Config rc;
+  rc.tech = Technology::ZigBee;  // the script sends no ZigBee: never locks
+  rc.band = zigbee_channel(11);
+  rc.fading_sigma_db = 0.0;
+  Radio radio(indexed.medium, RetirementWorld::kQuietNode, rc);
+
+  // Wave 1 ends at 200 + 50 * ((5 i) mod 28) us; wave 2 starts at the
+  // sixth end (450 us) and ends at 475 + 100 * ((3 j) mod 8) us, so 26 to
+  // 30 are live, more than a window's 25 probes, from then to the tenth.
+  const auto wave1 = [](int i) { return Duration::from_us(200 + 50 * ((5 * i) % 28)); };
+  const auto wave2 = [](int j) { return Duration::from_us(25 + 100 * ((3 * j) % 8)); };
+  brute.begin_wave(0, 28, wave1);
+  indexed.begin_wave(0, 28, wave1);
+  const Band probes[] = {zigbee_channel(11), wifi_channel(6), bluetooth_channel(40)};
+  int ends = 0;
+  while (brute.sim.step()) {
+    ASSERT_TRUE(indexed.sim.step());
+    ASSERT_EQ(brute.sim.now(), indexed.sim.now());
+    if (++ends == 6) {
+      brute.begin_wave(28, 8, wave2);
+      indexed.begin_wave(28, 8, wave2);
+    }
+    brute.expect_only_live_visible();
+    indexed.expect_only_live_visible();
+    for (NodeId rx = 0; rx <= RetirementWorld::kQuietNode; ++rx) {
+      for (const Band band : probes) {
+        const double want = brute.live_energy_dbm(rx, band);
+        EXPECT_EQ(brute.medium.energy_dbm(rx, band), want) << "end " << ends;
+        EXPECT_EQ(indexed.medium.energy_dbm(rx, band), want) << "end " << ends;
+      }
+    }
+    // The retune looks every tracked transmission up again while ended
+    // entries are pending; its recomputed sum must match the medium's.
+    const Band band = zigbee_channel(11 + ends % 16);
+    radio.retune(band);
+    EXPECT_NEAR(radio.energy_dbm(),
+                indexed.medium.energy_dbm(RetirementWorld::kQuietNode, band), 1e-9)
+        << "end " << ends;
+  }
+  EXPECT_FALSE(indexed.sim.step());
+  EXPECT_EQ(ends, 36);
+  EXPECT_EQ(indexed.medium.active_count(), 0u);
 }
 
 }  // namespace

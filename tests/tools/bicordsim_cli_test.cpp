@@ -89,6 +89,30 @@ TEST(BicordsimCliTest, BleTopologyIsRefusedFromAPresetOrASet) {
   expect_usage_error(run_sim("--set topology=ble --seconds 1"), "topology=ble");
 }
 
+TEST(BicordsimCliTest, DirectoryInputFileExitsWithUsageError) {
+  // Both used to abort (134) with an uncaught std::ios_failure.
+  const std::string dir = ::testing::TempDir();
+  expect_usage_error(run_sim("--scenario @" + dir + " --seconds 1"),
+                     "cannot read scenario file");
+  expect_usage_error(run_sim("--fault-plan @" + dir + " --seconds 1"),
+                     "cannot read fault plan file");
+}
+
+TEST(BicordsimCliTest, OversizedInputFileExitsWithUsageError) {
+  // @/dev/zero used to read without bound; a file one byte over the 1 MiB
+  // cap is refused the same way, before any of it is parsed.
+  const fs::path path = fs::path(::testing::TempDir()) / "bicordsim_cli_oversized.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string((std::size_t{1} << 20) + 1, '\n');
+  }
+  expect_usage_error(run_sim("--scenario @" + path.string() + " --seconds 1"),
+                     "larger than 1 MiB");
+  expect_usage_error(run_sim("--fault-plan @" + path.string() + " --seconds 1"),
+                     "larger than 1 MiB");
+  fs::remove(path);
+}
+
 TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
   expect_usage_error(
       run_sim("--wifi-traffic priority --set wifi.priority_cycle=0us --seconds 1"),

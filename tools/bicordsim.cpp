@@ -10,13 +10,14 @@
 // key=value @file — and every knob the evaluation varies is also exposed as
 // a flag; explicit flags override the spec.
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <string>
-
+#include <cstring>
+#include <exception>
 #include <fstream>
-#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coex/experiment.hpp"
@@ -32,17 +33,39 @@
 using namespace bicord;
 
 namespace {
+/// Largest @file accepted: a real spec or fault plan is a few KiB, and the
+/// cap keeps `@/dev/zero` from reading without bound.
+constexpr std::size_t kMaxInputFileBytes = std::size_t{1} << 20;
+
+/// Reads the @file `path` whole into `text`. On failure prints
+/// "error: cannot read <what> '<path>': <reason>" and returns false.
+bool read_input_file(const char* what, const std::string& path, std::string& text) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  const auto fail = [&](const char* reason) {
+    std::fprintf(stderr, "error: cannot read %s '%s': %s\n", what, path.c_str(), reason);
+    return false;
+  };
+  const std::unique_ptr<std::FILE, Closer> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) return fail(std::strerror(errno));
+  text.clear();
+  char buf[1 << 14];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, file.get())) > 0) {
+    if (n > kMaxInputFileBytes - text.size()) return fail("larger than 1 MiB");
+    text.append(buf, n);
+  }
+  if (std::ferror(file.get()) != 0) return fail(std::strerror(errno));
+  return true;
+}
+
 /// `--scenario` value: a preset name or @file of ScenarioSpec text.
 bool load_scenario_spec(const std::string& arg, coex::ScenarioSpec& out) {
   if (arg[0] == '@') {
     const std::string path = arg.substr(1);
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot open scenario file '%s'\n", path.c_str());
-      return false;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string text;
+    if (!read_input_file("scenario file", path, text)) return false;
     std::string error;
     const auto spec = coex::ScenarioSpec::parse(text, &error);
     if (!spec) {
@@ -69,13 +92,8 @@ bool load_fault_plan(const std::string& spec, fault::FaultPlan& out) {
   if (spec.empty()) return true;
   if (spec[0] == '@') {
     const std::string path = spec.substr(1);
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot open fault plan file '%s'\n", path.c_str());
-      return false;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string text;
+    if (!read_input_file("fault plan file", path, text)) return false;
     std::string error;
     const auto plan = fault::FaultPlan::parse(text, &error);
     if (!plan) {
@@ -97,9 +115,8 @@ bool load_fault_plan(const std::string& spec, fault::FaultPlan& out) {
   out = *plan;
   return true;
 }
-}  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Flags flags(
       "bicordsim — BiCord/ECC/CSMA coexistence simulation (ICDCS'21 reproduction)");
   flags.add_string("scenario", "",
@@ -473,4 +490,17 @@ int main(int argc, char** argv) {
     }
   }
   return (checker != nullptr && !checker->ok()) ? 1 : 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input is refused with exit 2 where it is read; anything that still
+  // escapes (an allocation failure, say) is reported the same way instead
+  // of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
