@@ -15,10 +15,11 @@
 #   lint    — static gates only: clang-tidy (skipped with a notice when the
 #             tool is absent) and tools/bicord_lint; any finding fails (see
 #             scripts/lint.sh and DESIGN.md Sec. 10)
-#   dense   — dense-scenario smoke: the medium equivalence/stress suites,
-#             then bicordsim on the dense + dense1k presets twice each —
-#             spatial index on vs off — asserting byte-identical output
-#             (DESIGN.md Sec. 12); part of the default full gate
+#   dense   — dense-scenario smoke: the medium equivalence/stress and band
+#             contract suites, then bicordsim on the dense, dense1k, city and
+#             tsch presets twice each — spatial index on vs off — asserting
+#             byte-identical output (DESIGN.md Sec. 12); part of the default
+#             full gate
 #   chaos   — chaos soak (fixed seed): fault tests under ASan/UBSan and the
 #             parallel soak under TSAN, plus a mixed-plan bicordsim run whose
 #             invariant checker gates the exit code
@@ -87,13 +88,19 @@ fi
 # Dense smoke: prove the spatially-indexed medium is output-identical to the
 # brute-force reference on the shipped dense presets, end to end through
 # bicordsim (stdout is deterministic, so plain diff is the equality gate).
+# tsch defaults to brute force, so its first run forces the index on: its
+# hopping radios pick up in-flight transmissions on retune, and that pickup
+# must not depend on the path.
 dense_smoke() {
-  ./build/tests/phy_tests --gtest_filter='MediumEquivalence.*:MediumStress.*'
+  ./build/tests/phy_tests \
+    --gtest_filter='MediumEquivalence.*:MediumStress.*:MediumBandGate.*:*BandContract.*'
   local preset args out_idx out_brute
-  for preset in dense dense1k; do
+  for preset in dense dense1k city tsch; do
     case "$preset" in
       dense)   args=(--seconds 3) ;;              # churn plan fires inside 4 sim-s
       dense1k) args=(--warmup-seconds 0 --seconds 1) ;;
+      city)    args=(--warmup-seconds 0 --seconds 1) ;;
+      tsch)    args=(--seconds 3 --set medium.spatial_index=true) ;;
     esac
     out_idx="build/dense_smoke_${preset}_indexed.txt"
     out_brute="build/dense_smoke_${preset}_brute.txt"
@@ -106,7 +113,7 @@ dense_smoke() {
       return 1
     }
   done
-  echo "OK: dense presets byte-identical with the spatial index on and off"
+  echo "OK: dense, dense1k, city and tsch byte-identical with the spatial index on and off"
 }
 
 if [ "$MODE" = "dense" ]; then

@@ -574,9 +574,11 @@ const Samples& Scenario::wifi_delay_ms(int priority) const {
 }
 
 double Scenario::wifi_delivery_ratio() const {
-  return wifi_generated_ ? static_cast<double>(wifi_delivered_) /
-                               static_cast<double>(wifi_generated_)
-                         : 0.0;
+  // Every capped enqueue() caller offers Data frames, so each discard is an
+  // offered Data frame that never got a send outcome.
+  const std::uint64_t offered = wifi_generated_ + wifi_sender_mac_->discarded();
+  return offered ? static_cast<double>(wifi_delivered_) / static_cast<double>(offered)
+                 : 0.0;
 }
 
 std::uint64_t Scenario::dense_wifi_delivered() const {

@@ -204,6 +204,9 @@ class Scenario {
   [[nodiscard]] double zigbee_goodput_kbps() const;
   /// Wi-Fi per-frame delay (enqueue -> delivered), by priority tag.
   [[nodiscard]] const Samples& wifi_delay_ms(int priority) const;
+  /// Testbed Wi-Fi Data frames delivered over those offered since
+  /// construction: frames with a send outcome plus frames the sender's full
+  /// queue discarded.
   [[nodiscard]] double wifi_delivery_ratio() const;
 
   // --- components -----------------------------------------------------------

@@ -107,9 +107,11 @@ Position Medium::position(NodeId id) const { return node(id).pos; }
 
 const std::string& Medium::node_name(NodeId id) const { return node(id).name; }
 
-void Medium::attach(MediumListener* listener) { attach(listener, kInvalidNode); }
+std::uint64_t Medium::attach(MediumListener* listener) {
+  return attach(listener, kInvalidNode);
+}
 
-void Medium::attach(MediumListener* listener, NodeId node) {
+std::uint64_t Medium::attach(MediumListener* listener, NodeId node) {
   if (listener == nullptr) throw std::invalid_argument("Medium::attach: null listener");
   if (node != kInvalidNode && node >= nodes_.size()) {
     throw std::invalid_argument("Medium::attach: unknown node id");
@@ -122,6 +124,7 @@ void Medium::attach(MediumListener* listener, NodeId node) {
   } else {
     node_listeners_[node].push_back(ListenerRef{listener, seq});
   }
+  return seq;
 }
 
 void Medium::detach(MediumListener* listener) {
@@ -482,6 +485,7 @@ double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
       const ActiveTransmission& tx = active_[i];
       if (tx.frame.src == rx || tx.frame.src == exclude_src) continue;
       if (tx.fault_dropped) continue;  // invisible to every other node
+      if (!overlaps(tx.band, rx_band)) continue;
       if (!audible_at(aux.radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
       acc_mw += dbm_to_mw(rx_power_dbm(tx, rx, rx_band));
     }
@@ -508,6 +512,7 @@ double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
     const ActiveTransmission& tx = active_[ai];
     if (tx.frame.src == rx || tx.frame.src == exclude_src) continue;
     if (tx.fault_dropped) continue;  // invisible to every other node
+    if (!overlaps(tx.band, rx_band)) continue;
     if (!audible_at(tx_aux_[ai].radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
     acc_mw += dbm_to_mw(rx_power_dbm(tx, rx, rx_band));
   }

@@ -150,13 +150,14 @@ class Medium {
   [[nodiscard]] const std::string& node_name(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
-  /// Attaches a global listener: sees every event on the medium.
-  void attach(MediumListener* listener);
+  /// Attaches a global listener: sees every event on the medium. Returns the
+  /// listener's attach sequence number (see for_each_active_after).
+  std::uint64_t attach(MediumListener* listener);
   /// Attaches a listener bound to `node`: the indexed path only routes it
   /// events material at that node's position (see MediumListener contract).
   /// Radios and RSSI samplers bind; tracers and protocol observers that need
-  /// the full event stream attach globally.
-  void attach(MediumListener* listener, NodeId node);
+  /// the full event stream attach globally. Returns the attach sequence.
+  std::uint64_t attach(MediumListener* listener, NodeId node);
   void detach(MediumListener* listener);
 
   /// Installs (or clears, with nullptr) the fault-injection hook. At most one
@@ -185,6 +186,16 @@ class Medium {
       if (!tx_aux_[i].ended) fn(active_[i]);
     }
   }
+  /// Same, restricted to the transmissions that began after the listener
+  /// with attach sequence `listener_seq` attached. Those are exactly the ones
+  /// whose end edge that listener is guaranteed while they are audible at
+  /// its node, so it may start tracking one mid-flight without leaking it.
+  template <typename Fn>
+  void for_each_active_after(std::uint64_t listener_seq, Fn&& fn) const {
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (!tx_aux_[i].ended && listener_seq < tx_aux_[i].watermark) fn(active_[i]);
+    }
+  }
 
   // --- propagation / energy queries ---------------------------------------
 
@@ -198,10 +209,12 @@ class Medium {
 
   /// True when `tx` can deliver more than tuning().snap_floor_dbm at `dst`:
   /// distance(src, dst) <= interference_radius_m(tx power). The predicate is
-  /// deliberately band-agnostic (a disjoint-band neighbor still registers
-  /// floor-level energy) and conservative under shadowing, so culling a
+  /// band-agnostic and conservative under shadowing, so culling a
   /// non-audible transmission can never change an energy sum above the snap
-  /// floor. Both execution paths apply exactly this predicate.
+  /// floor. Both execution paths apply exactly this predicate, and the
+  /// cached audiences depend on it alone. Band overlap is a separate test at
+  /// the receiver (phy::overlaps): energy_dbm and radios drop a disjoint
+  /// transmission even when it is audible.
   [[nodiscard]] bool audible(const ActiveTransmission& tx, NodeId dst) const;
 
   /// Distance at which `tx_power_dbm` provably falls below the snap floor:
@@ -213,7 +226,8 @@ class Medium {
 
   /// Total in-band energy at `rx` from all active transmissions except those
   /// originated by `exclude_src`, combined with the thermal noise floor of
-  /// `rx_band`. This is what a CCA energy-detect or RSSI register reads.
+  /// `rx_band`. This is what a CCA energy-detect or RSSI register reads. A
+  /// transmission whose band misses `rx_band` adds nothing.
   [[nodiscard]] double energy_dbm(NodeId rx, Band rx_band,
                                   NodeId exclude_src = kInvalidNode) const;
 

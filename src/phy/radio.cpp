@@ -17,7 +17,7 @@ Radio::Radio(Medium& medium, NodeId node, Config config)
   // More concurrent foreign transmissions than this never occur in practice;
   // reserving keeps the per-tx bookkeeping allocation-free from the start.
   ongoing_.reserve(16);
-  medium_.attach(this, node_);
+  listener_seq_ = medium_.attach(this, node_);
 }
 
 Radio::~Radio() { medium_.detach(this); }
@@ -45,7 +45,6 @@ void Radio::retune(Band band) {
 void Radio::apply_band(Band band) {
   config_.band = band;
   noise_mw_ = dbm_to_mw(Medium::noise_floor_dbm(band));
-  if (ongoing_.empty()) return;
   // Retuning changes what the front end sees of every transmission already
   // on the air (band overlap, narrowband discount): recompute each tracked
   // entry against the new band, preserving its fading draw, so energy and
@@ -57,10 +56,40 @@ void Radio::apply_band(Band band) {
     }
     foreign_mw_sum_ += o.rx_power_mw;
   }
+  // The start edge skipped every transmission whose band missed the old
+  // band; track those the new band overlaps. Only a transmission that began
+  // after this radio attached qualifies: the medium owes the radio its end
+  // edge while it is audible here, so no entry stays in ongoing_ forever.
+  medium_.for_each_active_after(listener_seq_, [this](const ActiveTransmission& tx) {
+    if (!hears(tx)) return;
+    const bool tracked = std::any_of(ongoing_.begin(), ongoing_.end(),
+                                     [&tx](const Ongoing& o) { return o.id == tx.id; });
+    if (!tracked) track(tx);
+  });
+}
+
+bool Radio::hears(const ActiveTransmission& tx) const {
+  if (tx.frame.src == node_) return false;  // own emission
+  if (tx.fault_dropped) return false;       // fault injection: deaf to this frame
+  // Both remaining tests are pure; the band test is the cheaper one.
+  return overlaps(tx.band, config_.band) && medium_.audible(tx, node_);
+}
+
+void Radio::track(const ActiveTransmission& tx) {
+  const double fading_db = config_.fading_sigma_db > 0.0
+                               ? rng_.normal(0.0, config_.fading_sigma_db)
+                               : 0.0;
+  ongoing_.push_back(make_ongoing(tx, fading_db));
+  foreign_mw_sum_ += ongoing_.back().rx_power_mw;
 }
 
 Radio::Ongoing Radio::make_ongoing(const ActiveTransmission& tx,
                                    double fading_db) const {
+  // Retuned away from the transmission's band: nothing reaches the front
+  // end, but the entry keeps its fading draw for a retune back.
+  if (!overlaps(tx.band, config_.band)) {
+    return Ongoing{tx.id, fading_db, kFloorDbm, 0.0, 0.0, tx.frame.tech, false};
+  }
   const double p = medium_.rx_power_dbm(tx, node_, config_.band) + fading_db;
   // Narrowband interferers are largely ridden out by coding/interleaving
   // (SINR only — they remain fully visible to energy queries and CSI).
@@ -71,8 +100,7 @@ Radio::Ongoing Radio::make_ongoing(const ActiveTransmission& tx,
   }
   const double p_mw = dbm_to_mw(p);
   const double sinr_mw = p_sinr == p ? p_mw : dbm_to_mw(p_sinr);
-  return Ongoing{tx.id,   fading_db,     p,             p_mw,
-                 sinr_mw, tx.frame.tech, tx.frame.kind, tx.band};
+  return Ongoing{tx.id, fading_db, p, p_mw, sinr_mw, tx.frame.tech, true};
 }
 
 void Radio::enter(RadioState next) {
@@ -124,7 +152,7 @@ void Radio::update_rx_sinr() {
   const double noise_mw = noise_mw_;
   double interf_mw = 0.0;
   for (const auto& o : ongoing_) {
-    if (o.id == rx_->tx_id) continue;
+    if (o.id == rx_->tx_id || !o.in_band) continue;
     interf_mw += o.sinr_mw;
     if (o.rx_power_dbm > r.max_interference_dbm) r.max_interference_dbm = o.rx_power_dbm;
     if (o.tech == Technology::ZigBee) {
@@ -140,19 +168,13 @@ void Radio::update_rx_sinr() {
 }
 
 void Radio::on_tx_start(const ActiveTransmission& tx) {
-  if (tx.frame.src == node_) return;  // own emission
-  if (tx.fault_dropped) return;       // fault injection: deaf to this frame
-  // Below the medium's snap floor: don't track, and — critically — don't
-  // draw fading or poke the MAC, so RNG streams are bitwise identical
-  // whether or not the medium's spatial index pruned this event away.
-  if (!medium_.audible(tx, node_)) return;
-
-  const double fading_db = config_.fading_sigma_db > 0.0
-                               ? rng_.normal(0.0, config_.fading_sigma_db)
-                               : 0.0;
-  ongoing_.push_back(make_ongoing(tx, fading_db));
+  // Disjoint band or below the medium's snap floor: don't track, and —
+  // critically — don't draw fading or poke the MAC, so RNG streams are
+  // bitwise identical whether or not the medium's spatial index pruned
+  // this event away.
+  if (!hears(tx)) return;
+  track(tx);
   const double p = ongoing_.back().rx_power_dbm;
-  foreign_mw_sum_ += ongoing_.back().rx_power_mw;
 
   if (state_ == RadioState::Sleep) return;
 
@@ -188,9 +210,10 @@ void Radio::on_tx_end(const ActiveTransmission& tx) {
     return;
   }
 
-  // Untracked transmissions (fault-dropped or below the snap floor at start)
-  // end without a trace: no SINR sample, no MAC poke. Mirrors on_tx_start's
-  // early-outs so both medium paths consume RNG identically.
+  // Untracked transmissions (fault-dropped, disjoint or below the snap
+  // floor, and not picked up by a retune) end without a trace: no SINR
+  // sample, no MAC poke. Mirrors on_tx_start's early-outs so both medium
+  // paths consume RNG identically.
   const auto it = std::find_if(ongoing_.begin(), ongoing_.end(),
                                [&tx](const Ongoing& o) { return o.id == tx.id; });
   if (it == ongoing_.end()) return;

@@ -94,6 +94,13 @@ class Radio final : public MediumListener {
   /// in receptions_truncated()). An in-progress transmission keeps its
   /// original band on the medium (the carrier is already on the air); only
   /// the receive front end moves.
+  ///
+  /// Both set_band and retune keep every tracked transmission's fading
+  /// draw; one whose band the new band misses contributes nothing until a
+  /// later retune overlaps it again. A foreign transmission in flight that
+  /// the radio did not track (its band missed the old band) and that
+  /// overlaps the new one is picked up with a fresh fading draw, in
+  /// ascending TxId order, if it began after the radio attached.
   void retune(Band band);
 
   void set_rx_callback(RxCallback cb) { rx_cb_ = std::move(cb); }
@@ -113,7 +120,8 @@ class Radio final : public MediumListener {
   /// includes this radio's per-transmission fading draw (the ED front end
   /// measures the same channel the demodulator sees). Each transmission's
   /// power is evaluated against the radio's current band — set_band()
-  /// recomputes the tracked entries on retune.
+  /// recomputes the tracked entries on retune — and one whose band misses
+  /// it adds nothing.
   [[nodiscard]] double energy_dbm() const;
 
   /// True if a frame this radio could decode is currently on the air and
@@ -145,7 +153,9 @@ class Radio final : public MediumListener {
   /// evaluated against the radio's current band; set_band() recomputes every
   /// entry so a retune mid-air never mixes old-band signal powers with the
   /// new band's noise floor. `fading_db` keeps the per-transmission fading
-  /// draw so that recomputation preserves it.
+  /// draw so that recomputation preserves it. An entry whose band misses the
+  /// current band (only a retune makes one) has both powers at 0 mW and
+  /// `in_band` false: it adds no energy and no interference diagnostics.
   struct Ongoing {
     TxId id;
     double fading_db;    ///< this radio's fast-fading draw for the tx
@@ -153,8 +163,7 @@ class Radio final : public MediumListener {
     double rx_power_mw;  ///< dbm_to_mw(rx_power_dbm), cached
     double sinr_mw;      ///< dbm_to_mw(rx_power_dbm - narrowband discount)
     Technology tech;
-    FrameKind kind;
-    Band band;
+    bool in_band;        ///< overlaps(tx band, current band)
   };
   struct CurrentRx {
     TxId tx_id;
@@ -162,12 +171,18 @@ class Radio final : public MediumListener {
   };
 
   void enter(RadioState next);
-  /// Shared tail of set_band/retune: swap the band and recompute every
-  /// tracked entry (and the noise floor) against it.
+  /// Shared tail of set_band/retune: swap the band, recompute every
+  /// tracked entry (and the noise floor) against it, and pick up the
+  /// untracked in-flight transmissions it now overlaps.
   void apply_band(Band band);
+  /// True when `tx` reaches this radio at all: a foreign, undropped,
+  /// audible transmission whose band overlaps the radio's band.
+  [[nodiscard]] bool hears(const ActiveTransmission& tx) const;
+  /// Starts tracking foreign transmission `tx` with a fresh fading draw.
+  void track(const ActiveTransmission& tx);
   /// Builds the tracked-power entry for `tx` against the radio's current
   /// band, applying `fading_db` and the narrowband discount. Shared by
-  /// on_tx_start and the set_band recompute.
+  /// track() and the set_band recompute.
   [[nodiscard]] Ongoing make_ongoing(const ActiveTransmission& tx,
                                      double fading_db) const;
   /// True when this radio's PHY can demodulate `tx` (same technology and
@@ -180,6 +195,7 @@ class Radio final : public MediumListener {
   NodeId node_;
   Config config_;
   Rng rng_;
+  std::uint64_t listener_seq_ = 0;  ///< this radio's attach sequence
   RadioState state_ = RadioState::Idle;
   double noise_mw_ = 0.0;  ///< dbm_to_mw(noise floor of config_.band), cached
 

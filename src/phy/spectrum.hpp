@@ -7,6 +7,7 @@
 // (ch 0 = 2402 MHz). The paper pairs Wi-Fi ch 11/13 with ZigBee ch 24/26 so
 // the bands overlap.
 
+#include <algorithm>
 #include <cstdint>
 
 namespace bicord::phy {
@@ -25,6 +26,15 @@ struct Band {
 /// Overlapping width of two bands in MHz (0 when disjoint).
 [[nodiscard]] double overlap_mhz(Band a, Band b);
 
+/// True exactly when overlap_mhz(a, b) > 0. A receiver sees a transmission
+/// only through this gate: a transmission whose band misses the receiver's
+/// band adds no energy, no interference and no fading draw there. Inline
+/// because the medium's energy sums and every radio's start edge test it
+/// once per transmission.
+[[nodiscard]] inline bool overlaps(Band a, Band b) {
+  return std::min(a.hi(), b.hi()) - std::max(a.lo(), b.lo()) > 0.0;
+}
+
 /// Fraction of transmitter band `tx` whose energy lands inside receiver
 /// band `rx`, assuming the transmit power is spread evenly over `tx`.
 /// E.g. a 20 MHz Wi-Fi frame deposits only 2/20 = 10 % of its power into an
@@ -33,8 +43,10 @@ struct Band {
 /// problem the paper addresses.
 [[nodiscard]] double in_band_fraction(Band tx, Band rx);
 
-/// Same, expressed as a dB attenuation to apply to the received power
-/// (returns +inf-like large value when disjoint; use with care).
+/// Same, expressed as a dB attenuation to apply to the received power. A
+/// disjoint pair returns a 200 dB sentinel, which Medium::rx_power_dbm
+/// clamps to kFloorDbm for a direct caller. No library path reaches it:
+/// energy sums and radios drop a disjoint pair at overlaps() first.
 [[nodiscard]] double overlap_loss_db(Band tx, Band rx);
 
 /// IEEE 802.11b/g channel n in [1, 13].

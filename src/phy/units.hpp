@@ -10,7 +10,10 @@
 
 namespace bicord::phy {
 
-/// Received power below this is treated as "nothing" by all code paths.
+/// Floor of every received power: Medium::rx_power_dbm clamps a weaker link
+/// up to it, so an overlapping transmission always adds at least this much.
+/// A transmission whose band misses the receiver's band (phy::overlaps) is
+/// not clamped up: energy sums and radios drop it, and it contributes nothing.
 inline constexpr double kFloorDbm = -120.0;
 
 [[nodiscard]] inline double dbm_to_mw(double dbm) {

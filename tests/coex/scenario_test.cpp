@@ -114,6 +114,20 @@ TEST(ScenarioTest, WifiDeliveryHealthy) {
   EXPECT_GT(sc.wifi_delay_ms(0).count(), 100u);
 }
 
+TEST(ScenarioTest, WifiDeliveryRatioCountsQueueCapDiscards) {
+  // A 1 us CBR interval offers far more than the channel drains: the
+  // sender's queue fills to WifiMac::kMaxQueue and turns the rest away. Those
+  // frames were offered and never delivered, so the ratio must count them.
+  auto cfg = config_for(Coordination::BiCord);
+  cfg.wifi_traffic = WifiTrafficKind::Cbr;
+  cfg.wifi_cbr_interval = Duration::from_us(1);
+  Scenario sc(cfg);
+  sc.run_for(Duration::from_ms(100));
+  EXPECT_GT(sc.wifi_sender().discarded(), 80'000u);
+  EXPECT_GT(sc.wifi_delivery_ratio(), 0.0);
+  EXPECT_LT(sc.wifi_delivery_ratio(), 0.01);
+}
+
 TEST(ScenarioTest, PersonMobilityStillWorks) {
   auto cfg = config_for(Coordination::BiCord);
   cfg.person_mobility = true;

@@ -177,6 +177,43 @@ TEST_F(Fixture, FloorsVeryWeakSignals) {
   EXPECT_DOUBLE_EQ(p, kFloorDbm);
 }
 
+// --- the band gate in energy sums ---------------------------------------------
+
+TEST(MediumBandGate, DisjointTransmissionsAddNothingOnEitherBranch) {
+  // Bluetooth channels 0-59 span 2401.5-2461.5 MHz, below ZigBee ch 26
+  // (2479-2481 MHz). With every node in one 100 km cell the indexed medium
+  // sums over a ring-2 window (25 probes): 3 live transmissions take the
+  // linear branch and 40 the windowed one.
+  for (const bool indexed : {false, true}) {
+    sim::Simulator sim(1);
+    MediumTuning t;
+    t.spatial_index = indexed;
+    t.cell_size_m = 1e5;
+    Medium medium(sim, PathLossModel{40.0, 3.0, 0.0, 0.1}, t);
+    for (int i = 0; i < 8; ++i) medium.add_node("n", {2.0 * i, 1.0 * (i % 3)});
+    const NodeId rx = 7;
+    const Band probe = zigbee_channel(26);
+    const double quiet = medium.energy_dbm(rx, probe);
+    const double quiet_bt = medium.energy_dbm(rx, bluetooth_channel(0));
+    int began = 0;
+    const auto begin = [&](int count) {
+      for (int k = 0; k < count; ++k, ++began) {
+        Frame f;
+        f.tech = Technology::Bluetooth;
+        f.src = static_cast<NodeId>(began % 7);
+        medium.begin_tx(f, bluetooth_channel(began % 60), 4.0, 1_ms);
+      }
+    };
+    begin(3);
+    EXPECT_EQ(medium.energy_dbm(rx, probe), quiet) << "indexed=" << indexed;
+    begin(37);
+    ASSERT_EQ(medium.active_count(), 40u);
+    EXPECT_EQ(medium.energy_dbm(rx, probe), quiet) << "indexed=" << indexed;
+    // The same transmissions do land on a band they overlap.
+    EXPECT_GT(medium.energy_dbm(rx, bluetooth_channel(0)), quiet_bt + 10.0);
+  }
+}
+
 // --- exact audiences on the indexed path -------------------------------------
 //
 // One explicit 10 km cell puts every node in a single grid window, so any
@@ -448,6 +485,7 @@ struct RetirementWorld {
     double acc_mw = dbm_to_mw(Medium::noise_floor_dbm(band));
     for (const ActiveTransmission& tx : log.live) {
       if (tx.frame.src == rx || !medium.audible(tx, rx)) continue;
+      if (!overlaps(tx.band, band)) continue;
       acc_mw += dbm_to_mw(medium.rx_power_dbm(tx, rx, band));
     }
     return mw_to_dbm(acc_mw);

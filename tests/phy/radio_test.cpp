@@ -247,5 +247,181 @@ TEST_F(RadioFixture, NoiseFramesAreNeverDecodable) {
   EXPECT_FALSE(any);
 }
 
+// --- the band contract -------------------------------------------------------
+//
+// A transmission whose band misses a radio's band costs that radio nothing.
+// Every case runs on a brute-force and on an indexed medium. ZigBee ch 24
+// spans 2469-2471 MHz, ch 11 2404-2406 MHz; Bluetooth ch 68 (2469.5-2470.5
+// MHz) lies inside ch 24 and ch 10 (2411.5-2412.5 MHz) misses both.
+
+/// RadioFixture's three nodes on a medium of either kind.
+struct BandWorld {
+  explicit BandWorld(bool indexed)
+      : sim(1), medium(sim, PathLossModel{40.0, 3.0, 0.0, 0.1}, tuning(indexed)) {
+    tx_node = medium.add_node("tx", {0.0, 0.0});
+    rx_node = medium.add_node("rx", {1.0, 0.0});
+    bt_node = medium.add_node("bt", {1.5, 0.5});
+  }
+
+  static MediumTuning tuning(bool indexed) {
+    MediumTuning t;
+    t.spatial_index = indexed;
+    return t;
+  }
+
+  static Radio::Config zb_config(Band band, double fading_sigma_db) {
+    Radio::Config c;
+    c.tech = Technology::ZigBee;
+    c.band = band;
+    c.sensitivity_dbm = -95.0;
+    c.sinr_threshold_db = 3.0;
+    c.sinr_width_db = 0.01;
+    c.fading_sigma_db = fading_sigma_db;
+    return c;
+  }
+
+  /// A Bluetooth hop on `channel`, put straight onto the medium.
+  void hop(int channel, Duration d) {
+    Frame f;
+    f.tech = Technology::Bluetooth;
+    f.src = bt_node;
+    medium.begin_tx(f, bluetooth_channel(channel), 4.0, d);
+  }
+
+  [[nodiscard]] double medium_energy(Band band) const {
+    return medium.energy_dbm(rx_node, band);
+  }
+
+  sim::Simulator sim;
+  Medium medium;
+  NodeId tx_node{};
+  NodeId rx_node{};
+  NodeId bt_node{};
+};
+
+class BandContract : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BandContract, DisjointStartCostsTheRadioNothing) {
+  // Twin worlds; only `hopped` carries a disjoint hop. If the hop drew
+  // fading, the radio's next reception would read another draw.
+  BandWorld quiet(GetParam());
+  BandWorld hopped(GetParam());
+  ASSERT_EQ(hopped.medium.spatially_indexed(), GetParam());
+  const Radio::Config cfg = BandWorld::zb_config(zigbee_channel(24), 3.0);
+  Radio tx_q(quiet.medium, quiet.tx_node, cfg);
+  Radio rx_q(quiet.medium, quiet.rx_node, cfg);
+  Radio tx_h(hopped.medium, hopped.tx_node, cfg);
+  Radio rx_h(hopped.medium, hopped.rx_node, cfg);
+  int activity_q = 0;
+  int activity_h = 0;
+  rx_q.set_activity_callback([&] { ++activity_q; });
+  rx_h.set_activity_callback([&] { ++activity_h; });
+  std::optional<RxResult> got_q;
+  std::optional<RxResult> got_h;
+  rx_q.set_rx_callback([&](const RxResult& r) { got_q = r; });
+  rx_h.set_rx_callback([&](const RxResult& r) { got_h = r; });
+
+  const double before = rx_h.energy_dbm();
+  hopped.hop(10, 1_ms);
+  EXPECT_EQ(activity_h, 0);
+  EXPECT_EQ(rx_h.energy_dbm(), before);
+  EXPECT_EQ(hopped.medium_energy(zigbee_channel(24)), before);
+
+  Frame f;
+  f.tech = Technology::ZigBee;
+  f.dst = quiet.rx_node;
+  f.src = quiet.tx_node;
+  tx_q.transmit(f, 0.0, 2_ms);
+  tx_h.transmit(f, 0.0, 2_ms);
+  quiet.sim.run_for(3_ms);
+  hopped.sim.run_for(3_ms);
+  ASSERT_TRUE(got_q.has_value());
+  ASSERT_TRUE(got_h.has_value());
+  EXPECT_EQ(got_h->rssi_dbm, got_q->rssi_dbm);
+  EXPECT_EQ(got_h->min_sinr_db, got_q->min_sinr_db);
+  EXPECT_EQ(activity_h, activity_q);  // the hop's end is no edge either
+}
+
+TEST_P(BandContract, RetuneIntoAnInFlightBandPicksItUp) {
+  BandWorld w(GetParam());
+  Radio rx(w.medium, w.rx_node, BandWorld::zb_config(zigbee_channel(11), 0.0));
+  int activity = 0;
+  rx.set_activity_callback([&] { ++activity; });
+  w.hop(68, 1_ms);
+  EXPECT_EQ(activity, 0);
+  EXPECT_EQ(rx.energy_dbm(), w.medium_energy(zigbee_channel(11)));
+
+  rx.retune(zigbee_channel(24));
+  const double on_air = w.medium_energy(zigbee_channel(24));
+  EXPECT_GT(on_air, Medium::noise_floor_dbm(zigbee_channel(24)) + 10.0);
+  EXPECT_NEAR(rx.energy_dbm(), on_air, 1e-9);
+
+  w.sim.run_for(2_ms);
+  EXPECT_EQ(activity, 1);  // the hop's end edge
+  EXPECT_EQ(w.medium.active_count(), 0u);
+  EXPECT_EQ(rx.energy_dbm(), w.medium_energy(zigbee_channel(24)));
+}
+
+TEST_P(BandContract, RadioAttachedMidFlightNeverPicksThatTransmissionUp) {
+  // The medium owes this radio no end edge for a transmission that began
+  // before it attached, so tracking one would leave it in the radio forever.
+  BandWorld w(GetParam());
+  w.hop(68, 1_ms);
+  Radio rx(w.medium, w.rx_node, BandWorld::zb_config(zigbee_channel(11), 0.0));
+  const double floor24 = [&] {
+    BandWorld empty(GetParam());
+    return empty.medium_energy(zigbee_channel(24));
+  }();
+  rx.retune(zigbee_channel(24));
+  EXPECT_EQ(rx.energy_dbm(), floor24);
+  EXPECT_GT(w.medium_energy(zigbee_channel(24)), floor24 + 10.0);
+
+  w.sim.run_for(2_ms);
+  EXPECT_EQ(w.medium.active_count(), 0u);
+  EXPECT_EQ(rx.energy_dbm(), floor24);
+}
+
+TEST_P(BandContract, RetunedAwayEntryAddsNoInterference) {
+  // The receiver tracks a ZigBee-band emission, then retunes off its band:
+  // the entry stays, keeps its fading draw and adds nothing until a retune
+  // back. A reception on the new band sees neither energy nor overlap.
+  BandWorld w(GetParam());
+  Radio tx(w.medium, w.tx_node, BandWorld::zb_config(zigbee_channel(11), 0.0));
+  Radio rx(w.medium, w.rx_node, BandWorld::zb_config(zigbee_channel(24), 2.0));
+  std::optional<RxResult> got;
+  rx.set_rx_callback([&](const RxResult& r) { got = r; });
+  Frame noise;
+  noise.tech = Technology::ZigBee;
+  noise.kind = FrameKind::Noise;  // energy only: the receiver stays Idle
+  noise.src = w.bt_node;
+  w.medium.begin_tx(noise, zigbee_channel(24), 0.0, 5_ms);
+  const double tracked = rx.energy_dbm();
+  EXPECT_GT(tracked, Medium::noise_floor_dbm(zigbee_channel(24)) + 10.0);
+
+  rx.set_band(zigbee_channel(11));
+  EXPECT_EQ(rx.energy_dbm(), w.medium_energy(zigbee_channel(11)));
+  Frame f;
+  f.tech = Technology::ZigBee;
+  f.src = w.tx_node;
+  f.dst = w.rx_node;
+  tx.transmit(f, 0.0, 2_ms);
+  w.sim.run_for(3_ms);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->success);
+  EXPECT_FALSE(got->zigbee_overlap);
+  EXPECT_EQ(got->zigbee_overlap_tx, kInvalidTx);
+  EXPECT_EQ(got->max_interference_dbm, kFloorDbm);
+  EXPECT_EQ(got->min_sinr_db,
+            got->rssi_dbm - Medium::noise_floor_dbm(zigbee_channel(11)));
+
+  rx.set_band(zigbee_channel(24));
+  EXPECT_EQ(rx.energy_dbm(), tracked);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothMediumPaths, BandContract, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Indexed" : "BruteForce";
+                         });
+
 }  // namespace
 }  // namespace bicord::phy

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace bicord::phy {
 namespace {
@@ -62,6 +63,25 @@ TEST(SpectrumTest, OverlapLossDbMatchesFraction) {
   EXPECT_NEAR(overlap_loss_db(wifi_channel(11), zigbee_channel(24)), 10.0, 1e-9);
   EXPECT_NEAR(overlap_loss_db(zigbee_channel(24), wifi_channel(11)), 0.0, 1e-9);
   EXPECT_GE(overlap_loss_db(wifi_channel(1), zigbee_channel(26)), 200.0);
+}
+
+TEST(SpectrumTest, OverlapsIsExactlyPositiveOverlapWidth) {
+  // Every channel pair of the three maps, plus edge-touching and zero-width
+  // bands, where a plain interval test would disagree with overlap_mhz.
+  std::vector<Band> bands{Band{2470.0, 0.0}, Band{2468.0, 2.0}, Band{2472.0, 2.0}};
+  for (int n = 1; n <= 13; ++n) bands.push_back(wifi_channel(n));
+  for (int n = 11; n <= 26; ++n) bands.push_back(zigbee_channel(n));
+  for (int n = 0; n <= 78; ++n) bands.push_back(bluetooth_channel(n));
+  for (const Band& a : bands) {
+    for (const Band& b : bands) {
+      EXPECT_EQ(overlaps(a, b), overlap_mhz(a, b) > 0.0)
+          << a.center_mhz << "/" << a.width_mhz << " vs " << b.center_mhz << "/"
+          << b.width_mhz;
+    }
+  }
+  EXPECT_FALSE(overlaps(Band{2470.0, 0.0}, zigbee_channel(24)));
+  EXPECT_FALSE(overlaps(Band{2468.0, 2.0}, zigbee_channel(24)));  // touch at 2469 MHz
+  EXPECT_TRUE(overlaps(bluetooth_channel(67), zigbee_channel(24)));
 }
 
 TEST(SpectrumTest, OverlapIsCommutative) {
