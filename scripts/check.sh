@@ -15,11 +15,11 @@
 #   lint    — static gates only: clang-tidy (skipped with a notice when the
 #             tool is absent) and tools/bicord_lint; any finding fails (see
 #             scripts/lint.sh and DESIGN.md Sec. 10)
-#   dense   — dense-scenario smoke: the medium equivalence/stress and band
-#             contract suites, then bicordsim on the dense, dense1k, city and
-#             tsch presets twice each — spatial index on vs off — asserting
-#             byte-identical output (DESIGN.md Sec. 12); part of the default
-#             full gate
+#   dense   — dense-scenario smoke: the medium equivalence, stress,
+#             retirement, indexed-audience and band contract suites, then
+#             bicordsim on the dense, dense1k, city and tsch presets twice
+#             each — spatial index on vs off — asserting byte-identical
+#             output (DESIGN.md Sec. 12); part of the default full gate
 #   chaos   — chaos soak (fixed seed): fault tests under ASan/UBSan and the
 #             parallel soak under TSAN, plus a mixed-plan bicordsim run whose
 #             invariant checker gates the exit code
@@ -93,7 +93,7 @@ fi
 # must not depend on the path.
 dense_smoke() {
   ./build/tests/phy_tests \
-    --gtest_filter='MediumEquivalence.*:MediumStress.*:MediumBandGate.*:*BandContract.*'
+    --gtest_filter='MediumEquivalence.*:MediumStress.*:MediumBandGate.*:*BandContract.*:MediumRetirement.*:IndexedFixture.*'
   local preset args out_idx out_brute
   for preset in dense dense1k city tsch; do
     case "$preset" in

@@ -121,17 +121,14 @@ bool apply(const PowerKey& k, const std::string& v, ScenarioConfig& c, std::stri
 bool apply(const NumberKey& k, const std::string& v, ScenarioConfig& c,
            std::string* why) {
   double f = 0.0;
-  const bool ok = parse_f64(v, &f) &&
-                  ((k.or_zero && f == 0.0) ||
-                   ((k.lo_open ? f > k.lo : f >= k.lo) && f <= k.hi));
-  if (ok) {
+  if (parse_f64(v, &f) && (k.lo_open ? f > k.lo : f >= k.lo) && f <= k.hi) {
     k.field(c) = f;
     return true;
   }
   const std::string range = (k.lo_open || k.lo == -kInf ? "(" : "[") +
                             format_double(k.lo) + ", " + format_double(k.hi) +
                             (k.hi == kInf ? ")" : "]");
-  return expected(why, (k.or_zero ? "0 or a number in " : "a number in ") + range, v);
+  return expected(why, "a number in " + range, v);
 }
 
 template <typename T>
@@ -407,8 +404,6 @@ constexpr Key kKeys[] = {
     {"lteu.duty", NumberKey{at<&Cfg::lteu, &Lteu::duty>, 0.0, 1.0, true}},
     {"lteu.period", positive(at<&Cfg::lteu, &Lteu::period>)},
     {"lteu.power", PowerKey{at<&Cfg::lteu, &Lteu::tx_power_dbm>}},
-    {"medium.cell",
-     NumberKey{at<&Cfg::medium, &Med::cell_size_m>, phy::kMinCellM, kInf, false, true}},
     {"medium.max_tx_power", PowerKey{at<&Cfg::medium, &Med::max_tx_power_dbm>}},
     {"medium.snap_floor", NumberKey{at<&Cfg::medium, &Med::snap_floor_dbm>, -kInf, kInf}},
     {"medium.spatial_index", BoolKey{at<&Cfg::medium, &Med::spatial_index>}},

@@ -37,8 +37,8 @@
 //     ecc.emulation_power, dense.wifi_power / zigbee_power / ble_power,
 //     ble.tx_power, lteu.power, extra.link power= / signaling=) are in
 //     [-120, 60] dBm: the -120 dBm floor up to 1 kW;
-//   - wifi.high_share is in [0, 1]; medium.cell is 0 (derive) or at least
-//     1 m; ble.connection_interval is in [7.5 ms, 4 s], the Bluetooth LE range;
+//   - wifi.high_share is in [0, 1]; ble.connection_interval is in
+//     [7.5 ms, 4 s], the Bluetooth LE range;
 //   - fault.event tokens: link= is in [-INT_MAX, INT_MAX], a clock-skew mag=
 //     in [0, 1000] ppm (fault.clock_skew_ppm in (0, 1000]), and a
 //     clock-jitter mag= in [0, 1] (fault::FaultPlan::parse);
@@ -138,14 +138,12 @@ struct DurationKey {
 struct PowerKey {
   Field<double> field;
 };
-/// A finite number in [lo, hi], or (lo, hi] when `lo_open`; `or_zero` also
-/// admits 0 where it means "derive the value".
+/// A finite number in [lo, hi], or (lo, hi] when `lo_open`.
 struct NumberKey {
   Field<double> field;
   double lo;
   double hi;
   bool lo_open = false;
-  bool or_zero = false;
 };
 template <typename T>
 struct IntegerKey {

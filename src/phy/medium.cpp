@@ -11,18 +11,15 @@ namespace bicord::phy {
 Medium::Medium(sim::Simulator& sim, PathLossModel path_loss, MediumTuning tuning)
     : sim_(sim), path_loss_(path_loss), tuning_(tuning) {
   if (tuning_.spatial_index) {
-    double cell = tuning_.cell_size_m;
-    if (!(cell > 0.0)) {
-      // Roughly a third of the maximum interference radius keeps windows at
-      // ring 5 (11x11 cells) while buckets stay coarse enough to hold a
-      // workable number of nodes. An unbounded radius (exponent <= 0) falls
-      // back to an arbitrary cell: every window clamps to the occupied
-      // bounding box anyway, so the choice only affects constant factors.
-      const double r = interference_radius_m(tuning_.max_tx_power_dbm);
-      cell = std::isfinite(r) ? std::max(r / 3.0, kMinCellM) : 50.0;
-    }
+    // Roughly a third of the maximum interference radius keeps windows at
+    // ring 5 (11x11 cells) while buckets stay coarse enough to hold a
+    // workable number of nodes. An unbounded radius (exponent <= 0) falls
+    // back to an arbitrary cell: every window clamps to the occupied
+    // bounding box anyway, so the choice only affects constant factors.
+    const double r = interference_radius_m(tuning_.max_tx_power_dbm);
+    const double cell = std::isfinite(r) ? std::max(r / 3.0, kMinCellM) : 50.0;
     index_ = std::make_unique<SpatialIndex>(cell);
-    max_ring_ = index_->ring_for(interference_radius_m(tuning_.max_tx_power_dbm));
+    max_ring_ = index_->ring_for(r);
   }
 }
 
@@ -30,7 +27,6 @@ NodeId Medium::add_node(std::string name, Position pos) {
   nodes_.push_back(NodeEntry{std::move(name), pos});
   node_airtime_.push_back(Duration::zero());
   node_listeners_.emplace_back();
-  node_active_tx_.emplace_back();
   const auto id = static_cast<NodeId>(nodes_.size() - 1);
   if (index_ != nullptr) {
     index_->add_node(id, pos);
@@ -128,6 +124,7 @@ std::uint64_t Medium::attach(MediumListener* listener, NodeId node) {
 }
 
 void Medium::detach(MediumListener* listener) {
+  if (listener == nullptr) return;  // would match the dead slots
   const auto scrub = [listener](std::vector<ListenerRef>& v) {
     v.erase(std::remove_if(v.begin(), v.end(),
                            [listener](const ListenerRef& r) {
@@ -137,14 +134,13 @@ void Medium::detach(MediumListener* listener) {
   };
   // Side structures are only read while audiences are being built (never
   // while user code runs), so direct erasure is safe even mid-notification.
+  // The slot itself is null-marked, so a running notify_below skips it.
   ++audience_epoch_;
-  for (const ListenerSlot& s : listeners_) {
+  for (ListenerSlot& s : listeners_) {
     if (s.listener != listener) continue;
-    if (s.bound == kInvalidNode) {
-      scrub(global_listeners_);
-    } else {
-      scrub(node_listeners_[s.bound]);
-    }
+    scrub(s.bound == kInvalidNode ? global_listeners_ : node_listeners_[s.bound]);
+    s.listener = nullptr;
+    ++dead_listeners_;
   }
   for (auto& aux : tx_aux_) {
     if (aux.ended) continue;
@@ -157,22 +153,7 @@ void Medium::detach(MediumListener* listener) {
       if (r.listener == listener) r.listener = nullptr;
     }
   }
-  if (notify_depth_ > 0) {
-    // Mid-notification: null-mark so the running loop skips it; the slot is
-    // compacted when the outermost notify() unwinds.
-    for (ListenerSlot& s : listeners_) {
-      if (s.listener == listener) {
-        s.listener = nullptr;
-        listeners_dirty_ = true;
-      }
-    }
-    return;
-  }
-  listeners_.erase(std::remove_if(listeners_.begin(), listeners_.end(),
-                                  [listener](const ListenerSlot& s) {
-                                    return s.listener == listener;
-                                  }),
-                   listeners_.end());
+  if (notify_depth_ == 0 && 2 * dead_listeners_ > listeners_.size()) compact_listeners();
 }
 
 void Medium::compact_listeners() {
@@ -181,7 +162,7 @@ void Medium::compact_listeners() {
                                     return s.listener == nullptr;
                                   }),
                    listeners_.end());
-  listeners_dirty_ = false;
+  dead_listeners_ = 0;
 }
 
 std::vector<Medium::ListenerRef>& Medium::acquire_audience() {
@@ -311,7 +292,6 @@ TxId Medium::begin_tx(const Frame& frame, Band band, double tx_power_dbm,
   const std::int64_t ring = aux.ring;
   active_.push_back(tx);
   tx_aux_.push_back(std::move(aux));
-  node_active_tx_[frame.src].push_back(tx.id);
 
   airtime_[static_cast<std::size_t>(frame.tech)] += duration;
   node_airtime_[frame.src] += duration;
@@ -349,8 +329,6 @@ void Medium::finish_tx(TxId id) {
   TxAux aux = std::move(tx_aux_[i]);
   tx_aux_[i].ended = true;
   if (2 * ++ended_ > active_.size()) compact_active();
-  auto& src_list = node_active_tx_[tx.frame.src];
-  src_list.erase(std::find(src_list.begin(), src_list.end(), id));
 
   if (index_ == nullptr) {
     // The watermark fence means a listener attached mid-flight never sees an
@@ -469,51 +447,15 @@ double Medium::noise_floor_mw(Band band) const {
 
 double Medium::energy_dbm(NodeId rx, Band rx_band, NodeId exclude_src) const {
   double acc_mw = noise_floor_mw(rx_band);
-  if (active_count() == 0) return mw_to_dbm(acc_mw);
   const Position rx_pos = node(rx).pos;
-  // Below the crossover the linear scan touches fewer cache lines than the
-  // window does cell probes, so take it even when indexed: it visits a
-  // superset of the window's candidates in the same ascending-TxId order
-  // with the same skip chain, hence bitwise-identical sums.
-  const std::size_t window_probes =
-      static_cast<std::size_t>(2 * std::min<std::int64_t>(max_ring_, 128) + 1) *
-      static_cast<std::size_t>(2 * std::min<std::int64_t>(max_ring_, 128) + 1);
-  if (index_ == nullptr || active_count() <= window_probes) {
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const TxAux& aux = tx_aux_[i];
-      if (aux.ended) continue;
-      const ActiveTransmission& tx = active_[i];
-      if (tx.frame.src == rx || tx.frame.src == exclude_src) continue;
-      if (tx.fault_dropped) continue;  // invisible to every other node
-      if (!overlaps(tx.band, rx_band)) continue;
-      if (!audible_at(aux.radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
-      acc_mw += dbm_to_mw(rx_power_dbm(tx, rx, rx_band));
-    }
-    return mw_to_dbm(acc_mw);
-  }
-  // Gather candidate transmissions from the grid neighborhood. Sorting by
-  // TxId recreates the exact iteration (and therefore FP summation) order of
-  // the brute-force loop — active_ is ascending by id — and the dedupe
-  // guards against a window visiting a bucket twice. node_active_tx_ holds
-  // live ids only, so no candidate matches an ended entry.
-  energy_scratch_.clear();
-  index_->for_each_in_window(index_->cell_of_node(rx), max_ring_, [this](NodeId n) {
-    const auto& txs = node_active_tx_[n];
-    energy_scratch_.insert(energy_scratch_.end(), txs.begin(), txs.end());
-  });
-  std::sort(energy_scratch_.begin(), energy_scratch_.end());
-  energy_scratch_.erase(std::unique(energy_scratch_.begin(), energy_scratch_.end()),
-                        energy_scratch_.end());
-  std::size_t ai = 0;
-  for (const TxId t : energy_scratch_) {
-    while (ai < active_.size() && active_[ai].id < t) ++ai;
-    if (ai == active_.size()) break;
-    if (active_[ai].id != t) continue;
-    const ActiveTransmission& tx = active_[ai];
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    const TxAux& aux = tx_aux_[i];
+    if (aux.ended) continue;
+    const ActiveTransmission& tx = active_[i];
     if (tx.frame.src == rx || tx.frame.src == exclude_src) continue;
     if (tx.fault_dropped) continue;  // invisible to every other node
     if (!overlaps(tx.band, rx_band)) continue;
-    if (!audible_at(tx_aux_[ai].radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
+    if (!audible_at(aux.radius2, nodes_[tx.frame.src].pos, rx_pos)) continue;
     acc_mw += dbm_to_mw(rx_power_dbm(tx, rx, rx_band));
   }
   return mw_to_dbm(acc_mw);

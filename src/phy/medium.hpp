@@ -9,23 +9,23 @@
 // metrics layer turns into the paper's "channel utilization".
 //
 // Two execution paths produce bitwise-identical results (DESIGN.md Sec. 12):
-// the brute-force path visits every active transmission / every listener,
-// while the spatially-indexed path (MediumTuning::spatial_index) culls
-// energy sums to a grid neighborhood sized by a conservative interference
-// radius and delivers transmission edges to exactly the audible bound
-// listeners, replaying start audiences cached per (source node, tx power).
-// The audibility predicate that decides what a receiver can hear is shared
-// by both paths, so the equivalence is by construction, and the test suite
+// the brute-force path delivers every transmission edge to every listener,
+// while the spatially-indexed path (MediumTuning::spatial_index) delivers
+// it to exactly the audible bound listeners, found through a uniform grid
+// and replayed from start audiences cached per (source node, tx power).
+// Energy sums run one loop in both modes. The audibility predicate that
+// decides what a receiver can hear is shared by both paths, so the
+// equivalence is by construction, and the test suite
 // (tests/phy/medium_equivalence_test.cpp) enforces it.
 //
 // In-flight transmissions live in one vector, ascending by TxId: energy sums
-// visit them in that order, so it fixes the floating-point summation order
-// both paths share. An ended transmission is found by binary search and
-// marked ended in place, and the vector is compacted in one pass once more
-// than half of it has ended: retiring a transmission costs a binary search
-// plus amortized O(1) moves, not a mid-vector erase. Ended entries are
-// invisible to callers: find_active(), active_count() and for_each_active()
-// report only what is on the air.
+// visit them in that order, so it fixes the floating-point summation order.
+// An ended transmission is found by binary search and marked ended in place,
+// and the vector is compacted in one pass once more than half of it has
+// ended: retiring a transmission costs a binary search plus amortized O(1)
+// moves, not a mid-vector erase. Ended entries are invisible to callers:
+// find_active(), active_count() and for_each_active() report only what is on
+// the air.
 
 #include <algorithm>
 #include <array>
@@ -106,10 +106,10 @@ class MediumListener {
   ~MediumListener() = default;
 };
 
-/// Smallest grid cell, explicit or derived. Windows are counted in cells, so
-/// a sub-metre cell makes a 100 m window millions of cells wide, and a
-/// derived cell shrinks that far when max_tx_power_dbm understates the
-/// powers actually used.
+/// Smallest derived grid cell. Windows are counted in cells, so a sub-metre
+/// cell makes a 100 m window millions of cells wide, and the derived cell
+/// shrinks that far when max_tx_power_dbm understates the powers actually
+/// used.
 inline constexpr double kMinCellM = 1.0;
 
 /// Performance knobs. The defaults reproduce the historical behavior bit for
@@ -123,15 +123,13 @@ struct MediumTuning {
   /// is ever culled in the paper's presets. Dense presets raise it toward
   /// the victim technology's thermal noise floor to make culling effective.
   double snap_floor_dbm = kFloorDbm;
-  /// Route energy queries and listener fan-out through a uniform-grid
-  /// spatial index: O(neighborhood) instead of O(nodes) per event.
+  /// Route listener fan-out through a uniform-grid spatial index:
+  /// O(neighborhood) instead of O(listeners) per event.
   bool spatial_index = false;
-  /// Grid cell edge in metres (the spec key takes at least kMinCellM); 0
-  /// derives max(radius(max_tx_power_dbm) / 3, kMinCellM).
-  double cell_size_m = 0.0;
-  /// Upper bound on any tx power this medium will carry — sizes the derived
-  /// cell and seeds the energy-query window. Exceeding it at begin_tx is
-  /// safe (the window ratchets up), merely slower.
+  /// Upper bound on any tx power this medium will carry. The grid cell is
+  /// max(radius(max_tx_power_dbm) / 3, kMinCellM), and the position-change
+  /// window starts at that radius. Exceeding it at begin_tx is safe (the
+  /// window ratchets up), merely slower.
   double max_tx_power_dbm = 30.0;
 };
 
@@ -341,9 +339,9 @@ class Medium {
   // audiences are snapshots, detach null-marks them in place.
 
   /// Notifies every listener with seq < watermark present when the loop
-  /// starts, in attach order. Listeners detached during the loop are
-  /// null-marked and skipped, then compacted once the outermost notification
-  /// unwinds.
+  /// starts, in attach order. Detached listeners are null-marked slots, so
+  /// the loop skips them; once the outermost notification unwinds, the
+  /// slots are compacted if more than half of them are dead.
   template <typename Fn>
   void notify_below(std::uint64_t watermark, Fn&& fn) {
     ++notify_depth_;
@@ -352,7 +350,9 @@ class Medium {
       const ListenerSlot& s = listeners_[i];
       if (s.listener != nullptr && s.seq < watermark) fn(s.listener);
     }
-    if (--notify_depth_ == 0 && listeners_dirty_) compact_listeners();
+    if (--notify_depth_ == 0 && 2 * dead_listeners_ > listeners_.size()) {
+      compact_listeners();
+    }
   }
 
   template <typename Fn>
@@ -367,9 +367,13 @@ class Medium {
     for (std::size_t i = 0; i < n; ++i) {
       if (audience[i].listener != nullptr) fn(audience[i].listener);
     }
-    if (--notify_depth_ == 0 && listeners_dirty_) compact_listeners();
+    if (--notify_depth_ == 0 && 2 * dead_listeners_ > listeners_.size()) {
+      compact_listeners();
+    }
   }
 
+  /// Drops the null-marked slots from listeners_ in one order-preserving
+  /// pass. Runs only when no notification is walking listeners_.
   void compact_listeners();
   /// Audience buffers are pooled per notification depth so nested events
   /// (a callback that transmits) get their own scratch without allocating
@@ -438,10 +442,8 @@ class Medium {
   std::vector<ActiveTransmission> active_;  ///< ascending by TxId, ended included
   std::vector<TxAux> tx_aux_;               ///< parallel to active_
   std::size_t ended_ = 0;                   ///< entries of active_ marked ended
-  /// Active TxIds per source node — a moving source implicitly carries its
-  /// transmissions to its new cell. Maintained in both modes (cheap).
-  std::vector<std::vector<TxId>> node_active_tx_;
-  std::vector<ListenerSlot> listeners_;
+  std::vector<ListenerSlot> listeners_;     ///< attach order, detached null-marked
+  std::size_t dead_listeners_ = 0;          ///< null-marked slots in listeners_
   std::uint64_t next_listener_seq_ = 0;
   std::vector<ListenerRef> global_listeners_;
   std::vector<std::vector<ListenerRef>> node_listeners_;  ///< by NodeId
@@ -451,10 +453,9 @@ class Medium {
   std::size_t audience_depth_ = 0;
   std::vector<std::vector<ListenerRef>> aux_audience_pool_;
   /// Monotone max of every active ring ever seen (seeded from
-  /// tuning.max_tx_power_dbm): the energy-query and position-change window.
+  /// tuning.max_tx_power_dbm): the position-change window.
   std::int64_t max_ring_ = 0;
   int notify_depth_ = 0;
-  bool listeners_dirty_ = false;
   TxInterceptor* interceptor_ = nullptr;
   /// Airtime accumulators are dense (small enum / dense node ids): begin_tx
   /// bumps two of them per transmission, so no hashing on that path.
@@ -463,7 +464,6 @@ class Medium {
   mutable std::vector<LossCacheEntry> loss_cache_;
   mutable std::vector<std::pair<Band, double>> noise_mw_memo_;
   mutable std::vector<RadiusEntry> radius_memo_;
-  mutable std::vector<TxId> energy_scratch_;  ///< indexed energy candidates
   TxId next_tx_id_ = 1;
 };
 

@@ -6,8 +6,8 @@
 // "visit every node within `ring` cells of this cell". Windows are
 // enumerated in row-major cell order and buckets in insertion order, but
 // callers must not rely on either: the Medium sorts whatever it gathers
-// (by TxId or attach seq) before acting on it, so bucket order never leaks
-// into simulation results. That also makes swap-remove rebucketing safe.
+// (by attach seq) before acting on it, so bucket order never leaks into
+// simulation results. That also makes swap-remove rebucketing safe.
 //
 // The cell table is open addressing with power-of-two capacity. It is only
 // ever probed by key (never iterated in storage order), which keeps results

@@ -339,20 +339,22 @@ TEST(ScenarioSpecTest, UnknownCoordinationListsEveryScheme) {
 
 TEST(ScenarioSpecTest, NonFiniteNumbersAndSubMetreCellsAreRejected) {
   // strtod accepts nan/inf spellings; no float key means them. A NaN snap
-  // floor would silently disable every audibility test, and an infinite or
-  // sub-metre cell aborts the grid or makes every window enormous.
+  // floor would silently disable every audibility test.
   for (const char* bad :
-       {"medium.cell = inf\n", "medium.cell = nan\n", "medium.cell = 0.001\n",
-        "medium.cell = 1e-300\n", "medium.cell = 0.999\n", "medium.snap_floor = nan\n",
-        "medium.snap_floor = -inf\n", "medium.max_tx_power = inf\n",
-        "pathloss.sigma = nan\n", "wifi.high_share = INF\n",
-        "burst.interval = infms\n"}) {
+       {"medium.snap_floor = nan\n", "medium.snap_floor = -inf\n",
+        "medium.max_tx_power = inf\n", "pathloss.sigma = nan\n",
+        "wifi.high_share = INF\n", "burst.interval = infms\n"}) {
     expect_rejected(bad);
   }
-  // 0 still means "derive", and a 1 m cell is the smallest explicit one.
-  for (const char* good :
-       {"medium.cell = 0\n", "medium.cell = 1\n", "medium.cell = 25\n"}) {
-    expect_accepted(good);
+  // The medium always derives its grid cell, so no cell size parses: an
+  // infinite or sub-metre one used to abort the grid or make every window
+  // enormous.
+  for (const char* cell :
+       {"medium.cell = inf\n", "medium.cell = nan\n", "medium.cell = 0.001\n",
+        "medium.cell = 1e-300\n", "medium.cell = 0.999\n"}) {
+    std::string error;
+    EXPECT_FALSE(ScenarioSpec::parse(cell, &error).has_value()) << cell;
+    EXPECT_NE(error.find("unknown key 'medium.cell'"), std::string::npos) << error;
   }
 }
 

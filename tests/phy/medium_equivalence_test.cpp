@@ -85,10 +85,10 @@ struct ScriptParams {
   double cluster_sigma_m = 40.0;
   double shadow_sigma_db = 0.0;
   double snap_floor_dbm = -97.0;
-  double cell_size_m = 0.0;  ///< 0 = derived
+  double max_tx_power_dbm = 20.0;  ///< the medium's bound: sizes the grid cell
   int steps = 250;
   std::size_t bound_listeners = 40;  ///< capped at `nodes`
-  int burst = 0;  ///< extra long-lived txes up front (drives the merge path)
+  int burst = 0;  ///< extra long-lived txes up front (a crowded air)
   double move_sigma_m = 8.0;    ///< per-axis jitter of a move
   double far_hop_share = 0.25;  ///< share of moves that first hop to a far site
   std::int64_t min_tx_us = 80;
@@ -119,8 +119,7 @@ class World {
     MediumTuning tuning;
     tuning.snap_floor_dbm = p.snap_floor_dbm;
     tuning.spatial_index = spatial;
-    tuning.cell_size_m = p.cell_size_m;
-    tuning.max_tx_power_dbm = 20.0;
+    tuning.max_tx_power_dbm = p.max_tx_power_dbm;
     medium_ = std::make_unique<Medium>(sim_, pl, tuning);
     for (std::size_t i = 0; i < sites.size(); ++i) {
       medium_->add_node("n" + std::to_string(i), sites[i]);
@@ -201,9 +200,9 @@ void run_equivalence(const ScriptParams& p) {
     ASSERT_EQ(a, b);
   };
 
-  // Optional burst of long-lived transmissions: enough concurrently active
-  // sources to push the indexed energy query past its linear-scan cutover
-  // into the sorted-merge path.
+  // Optional burst of long-lived transmissions: hundreds on the air at once,
+  // so every energy probe sums a long in-flight list and every move pins
+  // against many live transmissions.
   for (int i = 0; i < p.burst; ++i) {
     const auto src = static_cast<NodeId>((static_cast<std::size_t>(i) * 17) % node_count);
     begin_tx(src, i, i % 3 == 0 ? 20.0 : 5.0, Duration::from_ms(40 + i % 7));
@@ -341,13 +340,15 @@ TEST(MediumEquivalence, MidClusteredDefaultSnapNeverCulls) {
 }
 
 TEST(MediumEquivalence, MidUniformSmallCellsMergePath) {
-  // Small explicit cells shrink the energy-query window; the up-front burst
-  // keeps more transmissions active than the window has probes, forcing the
-  // indexed energy path off the cutover scan and into the sorted merge.
+  // A 13.5 dBm bound derives ~25 m cells instead of 20 dBm's ~37 m, so
+  // audiences are gathered over more, smaller cells, and the script's 16
+  // and 20 dBm transmissions exceed the bound, ratcheting the window ring.
+  // The burst, led by a 20 dBm transmission, ratchets it before the first
+  // move, and keeps 220 long transmissions on the air.
   ScriptParams p;
   p.nodes = 250;
   p.area_m = 900.0;
-  p.cell_size_m = 25.0;
+  p.max_tx_power_dbm = 13.5;
   p.burst = 220;
   p.steps = 200;
   p.seed = 44;

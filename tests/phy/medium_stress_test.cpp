@@ -96,6 +96,12 @@ struct Stress {
     ++transmissions;
   }
 
+  void detach(ChaosListener& l) {
+    medium->detach(&l);
+    l.detached = true;
+    ++detaches;
+  }
+
   /// The chaos menu, invoked from inside listener callbacks.
   void mutate(ChaosListener* self) {
     if (depth >= 3) return;  // keep the recursion structured, not unbounded
@@ -106,11 +112,7 @@ struct Stress {
       // audience): it must never hear anything again.
       const auto victim = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(listeners.size()) - 1));
-      if (!listeners[victim]->detached) {
-        medium->detach(listeners[victim].get());
-        listeners[victim]->detached = true;
-        ++detaches;
-      }
+      if (!listeners[victim]->detached) detach(*listeners[victim]);
     } else if (roll < 0.03 && listeners.size() < 400) {
       // Population cap: attach probability is per callback, and callbacks
       // scale with the listener count — uncapped, the growth compounds.
@@ -184,19 +186,40 @@ void ChaosListener::on_position_change(NodeId moved) {
   // recursing on them too would make the chaos volume explode.
 }
 
-void run_stress(bool spatial, std::uint64_t seed) {
+/// The callbacks' chaos detaches most listeners from inside notifications.
+/// With `detach_heavy`, the outer loop also replaces the oldest live
+/// listener after every transmission, so listeners detach outside any
+/// notification while transmissions are on the air too: the medium then
+/// compacts its dead listener slots straight from detach() as well as when
+/// a notification unwinds.
+void run_stress(bool spatial, std::uint64_t seed, bool detach_heavy = false) {
   SCOPED_TRACE(std::string(spatial ? "indexed" : "brute") + " seed=" +
-               std::to_string(seed));
+               std::to_string(seed) + (detach_heavy ? " detach-heavy" : ""));
   Stress s(spatial, seed);
   ASSERT_EQ(s.medium->spatially_indexed(), spatial);
 
   // Outer driver: a steady drumbeat of transmissions from random nodes; all
   // the interesting behavior happens inside the listener callbacks.
+  int outer_detaches = 0;
   for (int step = 0; step < 900; ++step) {
     const auto src = static_cast<NodeId>(
         s.rng.uniform_int(0, static_cast<std::int64_t>(s.medium->node_count()) - 1));
     s.transmit(src, Duration::from_us(s.rng.uniform_int(80, 1200)));
+    if (detach_heavy) {
+      const auto oldest = std::find_if(s.listeners.begin(), s.listeners.end(),
+                                       [](const auto& l) { return !l->detached; });
+      if (oldest != s.listeners.end()) {
+        s.detach(**oldest);
+        ++outer_detaches;
+      }
+      s.attach_listener(static_cast<NodeId>(
+          s.rng.uniform_int(0, static_cast<std::int64_t>(s.medium->node_count()) - 1)));
+    }
     if (step % 3 == 0) s.sim.run_for(Duration::from_us(s.rng.uniform_int(50, 700)));
+  }
+  if (detach_heavy) {
+    EXPECT_GT(outer_detaches, 800);
+    EXPECT_GT(2 * s.detaches, s.attaches);
   }
   s.sim.run_for(Duration::from_ms(50));
   EXPECT_EQ(s.medium->active_count(), 0u);
@@ -218,6 +241,8 @@ void run_stress(bool spatial, std::uint64_t seed) {
 TEST(MediumStress, BruteForceReentrantChurn) { run_stress(false, 5); }
 TEST(MediumStress, IndexedReentrantChurn) { run_stress(true, 5); }
 TEST(MediumStress, IndexedReentrantChurnAltSeed) { run_stress(true, 77); }
+TEST(MediumStress, BruteForceDetachHeavy) { run_stress(false, 5, true); }
+TEST(MediumStress, IndexedDetachHeavy) { run_stress(true, 5, true); }
 
 }  // namespace
 }  // namespace bicord::phy

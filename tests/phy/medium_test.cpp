@@ -68,6 +68,8 @@ TEST_F(Fixture, EnergyIsNoiseFloorWhenIdle) {
   const NodeId rx = medium.add_node("rx", {0.0, 0.0});
   const Band zb = zigbee_channel(24);
   EXPECT_NEAR(medium.energy_dbm(rx, zb), Medium::noise_floor_dbm(zb), 1e-9);
+  // An unknown receiver is refused on an idle medium too, not only under load.
+  EXPECT_THROW(static_cast<void>(medium.energy_dbm(rx + 1, zb)), std::out_of_range);
 }
 
 TEST_F(Fixture, NoiseFloorScalesWithBandwidth) {
@@ -181,14 +183,12 @@ TEST_F(Fixture, FloorsVeryWeakSignals) {
 
 TEST(MediumBandGate, DisjointTransmissionsAddNothingOnEitherBranch) {
   // Bluetooth channels 0-59 span 2401.5-2461.5 MHz, below ZigBee ch 26
-  // (2479-2481 MHz). With every node in one 100 km cell the indexed medium
-  // sums over a ring-2 window (25 probes): 3 live transmissions take the
-  // linear branch and 40 the windowed one.
+  // (2479-2481 MHz). Both medium modes sum energy in the same loop; each is
+  // probed with 3 and with 40 live transmissions.
   for (const bool indexed : {false, true}) {
     sim::Simulator sim(1);
     MediumTuning t;
     t.spatial_index = indexed;
-    t.cell_size_m = 1e5;
     Medium medium(sim, PathLossModel{40.0, 3.0, 0.0, 0.1}, t);
     for (int i = 0; i < 8; ++i) medium.add_node("n", {2.0 * i, 1.0 * (i % 3)});
     const NodeId rx = 7;
@@ -216,9 +216,10 @@ TEST(MediumBandGate, DisjointTransmissionsAddNothingOnEitherBranch) {
 
 // --- exact audiences on the indexed path -------------------------------------
 //
-// One explicit 10 km cell puts every node in a single grid window, so any
-// listener the indexed path skips is skipped by the audibility predicate,
-// not by the grid.
+// A 60 dBm power bound derives cells of about 420 m, almost four times the
+// 112 m radius at kPower, so every node these tests place shares a grid
+// window with the source: any listener the indexed path skips is skipped by
+// the audibility predicate, not by the grid.
 
 struct EdgeCounter final : MediumListener {
   int starts = 0;
@@ -232,8 +233,7 @@ struct IndexedFixture : ::testing::Test {
     MediumTuning t;
     t.snap_floor_dbm = -97.0;
     t.spatial_index = true;
-    t.cell_size_m = 10000.0;
-    t.max_tx_power_dbm = 20.0;
+    t.max_tx_power_dbm = 60.0;
     return t;
   }
 
@@ -445,9 +445,6 @@ struct RetirementWorld {
   static MediumTuning tuning(bool indexed) {
     MediumTuning t;
     t.spatial_index = indexed;
-    // Every node in one cell: energy queries take the windowed branch
-    // while more than 25 (a ring-2 window) are live.
-    t.cell_size_m = 1e5;
     return t;
   }
 
@@ -508,7 +505,7 @@ TEST(MediumRetirement, EndedTransmissionsNeverLeak) {
 
   // Wave 1 ends at 200 + 50 * ((5 i) mod 28) us; wave 2 starts at the
   // sixth end (450 us) and ends at 475 + 100 * ((3 j) mod 8) us, so 26 to
-  // 30 are live, more than a window's 25 probes, from then to the tenth.
+  // 30 are live from then to the tenth.
   const auto wave1 = [](int i) { return Duration::from_us(200 + 50 * ((5 * i) % 28)); };
   const auto wave2 = [](int j) { return Duration::from_us(25 + 100 * ((3 * j) % 8)); };
   brute.begin_wave(0, 28, wave1);

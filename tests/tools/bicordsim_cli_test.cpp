@@ -121,6 +121,8 @@ TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
 
 TEST(BicordsimCliTest, InfiniteCellSizeExitsWithUsageError) {
   // Used to escape as an uncaught std::invalid_argument from the grid (134).
+  // The key is gone, as the grid cell is always derived; naming a removed
+  // key must still exit 2 and name it.
   expect_usage_error(run_sim("--scenario dense --set medium.cell=inf --seconds 1"),
                      "medium.cell");
 }
