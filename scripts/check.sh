@@ -198,7 +198,7 @@ if [ "$MODE" = "chaos" ]; then
 
   echo
   echo "== chaos soak: bicordsim --fault-plan mixed (invariants gate exit) =="
-  ./build-asan/tools/bicordsim --fault-plan mixed --seconds 8 --seed 7
+  ./build-asan/tools/bicordsim --fault-plan mixed --seconds 8 --set seed=7
 
   echo
   echo "OK: chaos soak green (ASan/UBSan + TSAN, seed 7)"

@@ -11,8 +11,8 @@ cd "$(dirname "$0")/.."
 
 SCALE="${1:-default}"
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j "$(nproc 2>/dev/null || echo 2)"
 
 echo "== tests =="
 ctest --test-dir build --output-on-failure

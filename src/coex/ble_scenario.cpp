@@ -12,7 +12,7 @@ namespace bicord::coex {
 BleScenario::BleScenario(ScenarioConfig config) : config_(std::move(config)) {
   const BleClusterSpec& cluster = config_.ble;
   sim_ = std::make_unique<sim::Simulator>(config_.seed);
-  medium_ = std::make_unique<phy::Medium>(*sim_, config_.path_loss);
+  medium_ = std::make_unique<phy::Medium>(*sim_, config_.path_loss, config_.medium);
 
   for (int i = 0; i < cluster.links; ++i) {
     const auto m = medium_->add_node("ble-m", {0.4 * i, 0.2});

@@ -7,9 +7,9 @@
 // coordination enabled each BLE master runs a BleBiCordAgent (cross-decoding
 // receiver + spectral leases) and the ZigBee sender a BleAwareZigbeeAgent.
 // Built from a `topology = ble` spec's ScenarioConfig, it reads only `seed`,
-// `burst`, `path_loss` and `ble`. It has no Wi-Fi testbed, so it stays a
-// class of its own. The bench, the golden determinism test and the spec
-// fuzzer share this one topology (construction order — and therefore
+// `burst`, `path_loss`, `medium` and `ble`. It has no Wi-Fi testbed, so it
+// stays a class of its own. The bench, the golden determinism test and the
+// spec fuzzer share this one topology (construction order — and therefore
 // RNG/event scheduling — is part of the contract).
 
 #include <cstdint>

@@ -155,9 +155,10 @@ struct ScenarioConfig {
   /// 40 dB @ 1 m, exponent 3.0, shadowing sigma 0 dB (off by default — the
   /// CSI/impulse models carry the fast variation), distances clamped at 0.1 m.
   phy::PathLossModel path_loss{40.0, 3.0, 0.0, 0.1};
-  /// Medium performance knobs (snap floor, spatial index). Defaults keep the
-  /// historical brute-force behaviour bit for bit; dense presets flip the
-  /// index on, and the equivalence suite proves outputs stay identical.
+  /// Medium performance knobs (snap floor, spatial index), for both
+  /// topologies' media. Defaults keep the historical brute-force behaviour
+  /// bit for bit; dense presets flip the index on, and the equivalence suite
+  /// proves outputs stay identical.
   phy::MediumTuning medium;
   /// Background device field for the dense / city presets (empty = none).
   DenseFieldSpec dense;

@@ -440,13 +440,18 @@ TEST(ScenarioSpecTest, TopologySwitchSelectsBleLowering) {
 }
 
 TEST(ScenarioSpecTest, BleTopologyTakesTheSharedKeys) {
-  // One config type: pathloss.* reaches the BLE medium, and seed and burst.*
-  // fall back to the ScenarioConfig defaults like every other key.
+  // One config type: pathloss.* and medium.* reach the BLE medium, and seed
+  // and burst.* fall back to the ScenarioConfig defaults like every other key.
   std::string error;
-  auto spec = ScenarioSpec::parse("topology = ble\npathloss.exponent = 3.5\n", &error);
+  auto spec = ScenarioSpec::parse(
+      "topology = ble\npathloss.exponent = 3.5\nmedium.snap_floor = -97\n"
+      "medium.spatial_index = true\n",
+      &error);
   ASSERT_TRUE(spec.has_value()) << error;
   BleScenario scenario(spec->must_config());
   EXPECT_EQ(scenario.medium().path_loss().exponent, 3.5);
+  EXPECT_EQ(scenario.medium().tuning().snap_floor_dbm, -97.0);
+  EXPECT_TRUE(scenario.medium().spatially_indexed());
   EXPECT_EQ(scenario.simulator().seed(), ScenarioConfig{}.seed);
 }
 

@@ -31,6 +31,15 @@ namespace {
 
 struct Stress;
 
+/// Chaos never detaches below this many live listeners, nor attaches above
+/// the cap: attach probability is per callback, and callbacks scale with the
+/// listener count, so uncapped growth would compound.
+constexpr int kDetachFloor = 20;
+constexpr int kAttachCap = 400;
+/// Chaos rolls per outer step: without a budget, a full audience cascades
+/// through nested notifications and detaches its way down to the floor.
+constexpr int kChaosBudgetPerStep = 200;
+
 struct ChaosListener final : MediumListener {
   Stress* owner = nullptr;
   NodeId node = kInvalidNode;
@@ -81,6 +90,7 @@ struct Stress {
     medium->attach(l.get(), node);
     listeners.push_back(std::move(l));
     ++attaches;
+    ++live;
     return listeners.back().get();
   }
 
@@ -100,22 +110,22 @@ struct Stress {
     medium->detach(&l);
     l.detached = true;
     ++detaches;
+    --live;
   }
 
   /// The chaos menu, invoked from inside listener callbacks.
   void mutate(ChaosListener* self) {
-    if (depth >= 3) return;  // keep the recursion structured, not unbounded
+    if (depth >= 3 || budget == 0) return;  // structured, not unbounded
+    --budget;
     ++depth;
     const double roll = rng.uniform();
-    if (roll < 0.015 && listeners.size() > 20) {
+    if (roll < 0.015 && live > kDetachFloor) {
       // Detach a random live listener (possibly one later in this very
       // audience): it must never hear anything again.
       const auto victim = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(listeners.size()) - 1));
       if (!listeners[victim]->detached) detach(*listeners[victim]);
-    } else if (roll < 0.03 && listeners.size() < 400) {
-      // Population cap: attach probability is per callback, and callbacks
-      // scale with the listener count — uncapped, the growth compounds.
+    } else if (roll < 0.03 && live < kAttachCap) {
       attach_listener(static_cast<NodeId>(
           rng.uniform_int(0, static_cast<std::int64_t>(medium->node_count()) - 1)));
     } else if (roll < 0.05) {
@@ -153,7 +163,10 @@ struct Stress {
   Rng rng;
   std::unique_ptr<Medium> medium;
   std::vector<Position> sites;
+  /// Every listener ever attached, detached ones included.
   std::vector<std::unique_ptr<ChaosListener>> listeners;
+  int live = 0;  ///< listeners still attached
+  int budget = 0;  ///< chaos rolls left in the current outer step
   int depth = 0;
   int transmissions = 0;
   int attaches = 0;
@@ -201,7 +214,9 @@ void run_stress(bool spatial, std::uint64_t seed, bool detach_heavy = false) {
   // Outer driver: a steady drumbeat of transmissions from random nodes; all
   // the interesting behavior happens inside the listener callbacks.
   int outer_detaches = 0;
+  int min_live = s.live;
   for (int step = 0; step < 900; ++step) {
+    s.budget = kChaosBudgetPerStep;
     const auto src = static_cast<NodeId>(
         s.rng.uniform_int(0, static_cast<std::int64_t>(s.medium->node_count()) - 1));
     s.transmit(src, Duration::from_us(s.rng.uniform_int(80, 1200)));
@@ -216,7 +231,10 @@ void run_stress(bool spatial, std::uint64_t seed, bool detach_heavy = false) {
           s.rng.uniform_int(0, static_cast<std::int64_t>(s.medium->node_count()) - 1)));
     }
     if (step % 3 == 0) s.sim.run_for(Duration::from_us(s.rng.uniform_int(50, 700)));
+    min_live = std::min(min_live, s.live);
   }
+  // The audience stays populated for the whole run, not just its first steps.
+  EXPECT_GE(min_live, kDetachFloor);
   if (detach_heavy) {
     EXPECT_GT(outer_detaches, 800);
     EXPECT_GT(2 * s.detaches, s.attaches);

@@ -115,7 +115,7 @@ TEST(BicordsimCliTest, OversizedInputFileExitsWithUsageError) {
 
 TEST(BicordsimCliTest, ZeroPriorityCycleExitsWithUsageError) {
   expect_usage_error(
-      run_sim("--wifi-traffic priority --set wifi.priority_cycle=0us --seconds 1"),
+      run_sim("--set wifi.traffic=priority --set wifi.priority_cycle=0us --seconds 1"),
       "wifi.priority_cycle");
 }
 
@@ -152,8 +152,31 @@ TEST(BicordsimCliTest, OverflowingSecondsExitsWithUsageError) {
 }
 
 TEST(BicordsimCliTest, OversizedBurstPacketsFlagExitsWithUsageError) {
-  // The flag's int64 reaches the spec unnarrowed, so the spec's limit sees it.
-  expect_usage_error(run_sim("--burst-packets 9999999999 --seconds 1"), "burst.packets");
+  // The value reaches the spec unnarrowed, so the spec's limit sees it.
+  expect_usage_error(run_sim("--set burst.packets=9999999999 --seconds 1"), "burst.packets");
+}
+
+TEST(BicordsimCliTest, RemovedScenarioFlagsExitWithUsageError) {
+  // Scenario values are spec keys, set with --set; the flags that copied
+  // them are gone and must fail loudly rather than be ignored.
+  for (const std::string args :
+       {"--scheme ecc", "--location B", "--seed 7", "--burst-packets 5",
+        "--burst-payload 50", "--burst-interval-ms 200", "--poisson", "--no-poisson",
+        "--wifi-traffic cbr", "--wifi-high-share 0.5", "--ecc-whitespace-ms 30",
+        "--ecc-period-ms 120", "--step-ms 40", "--person-mobility", "--device-mobility"}) {
+    expect_usage_error(run_sim(args + " --seconds 1"),
+                       "unknown flag " + args.substr(0, args.find(' ')));
+  }
+}
+
+TEST(BicordsimCliTest, UnwritableTraceFileExitsBeforeTheRun) {
+  // Used to run the whole simulation, print its table, and only then fail
+  // to open the file and exit 1.
+  const fs::path path =
+      fs::path(::testing::TempDir()) / "bicordsim_cli_no_such_dir" / "trace.jsonl";
+  const Result r = run_sim("--scenario fig10 --seconds 1 --trace-file " + path.string());
+  expect_usage_error(r, "cannot open trace file");
+  EXPECT_EQ(r.output.find("bicordsim: scheme="), std::string::npos) << r.output;
 }
 
 TEST(BicordsimCliTest, RepeatStdoutIsByteIdenticalAcrossRuns) {

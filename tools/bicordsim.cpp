@@ -1,14 +1,14 @@
 // bicordsim — run a configurable coexistence simulation from the shell.
 //
-//   bicordsim --scenario fig10 --scheme ecc --seconds 10
-//   bicordsim --scheme bicord --location A --burst-packets 5
-//             --burst-interval-ms 200 --seconds 10 --seed 7
+//   bicordsim --scenario fig10 --set coordination=ecc --seconds 10
+//   bicordsim --set location=A --set burst.packets=5
+//             --set burst.interval=200ms --set seed=7 --seconds 10
 //
 // Prints the paper's metrics (channel utilization, ZigBee delay
 // percentiles, delivery, goodput, Wi-Fi health) for one run. The scenario
-// comes from a declarative coex::ScenarioSpec — a named preset or a
-// key=value @file — and every knob the evaluation varies is also exposed as
-// a flag; explicit flags override the spec.
+// comes from a declarative coex::ScenarioSpec — a named preset, a key=value
+// @file, or the library defaults — and `--set key=value` changes any one of
+// its keys.
 
 #include <cerrno>
 #include <chrono>
@@ -88,8 +88,8 @@ bool load_scenario_spec(const std::string& arg, coex::ScenarioSpec& out) {
   return true;
 }
 
+/// `--fault-plan` value: a preset name or @file of FaultPlan text.
 bool load_fault_plan(const std::string& spec, fault::FaultPlan& out) {
-  if (spec.empty()) return true;
   if (spec[0] == '@') {
     const std::string path = spec.substr(1);
     std::string text;
@@ -121,25 +121,10 @@ int run(int argc, char** argv) {
       "bicordsim — BiCord/ECC/CSMA coexistence simulation (ICDCS'21 reproduction)");
   flags.add_string("scenario", "",
                    "start from a ScenarioSpec: a preset name (--list-presets) or "
-                   "@file with key=value lines; explicit flags override it");
+                   "@file with key=value lines (default: the library defaults)");
   flags.add_bool("list-presets", false, "list the scenario presets and exit");
-  flags.add_string("scheme", "bicord",
-                   "coordination scheme: bicord | ecc | csma | lteu | tsch");
-  flags.add_string("location", "A", "ZigBee sender location: A | B | C | D (Fig. 6)");
-  flags.add_int("burst-packets", 5, "ZigBee packets per burst");
-  flags.add_int("burst-payload", 50, "ZigBee payload bytes per packet");
-  flags.add_double("burst-interval-ms", 200.0, "mean interval between bursts");
-  flags.add_bool("poisson", true, "Poisson burst arrivals (vs fixed interval)");
-  flags.add_string("wifi-traffic", "saturated", "Wi-Fi workload: saturated | cbr | priority");
-  flags.add_double("wifi-high-share", 0.3, "high-priority share (priority traffic only)");
-  flags.add_double("ecc-whitespace-ms", 20.0, "ECC blind white-space length");
-  flags.add_double("ecc-period-ms", 100.0, "ECC white-space period");
-  flags.add_double("step-ms", 30.0, "BiCord initial white space (learning step)");
-  flags.add_bool("person-mobility", false, "someone walks near the Wi-Fi receiver");
-  flags.add_bool("device-mobility", false, "the ZigBee sender moves within ~1 m");
   flags.add_int("seconds", 10, "measured simulation time");
   flags.add_int("warmup-seconds", 1, "warm-up before measurement");
-  flags.add_int("seed", 1, "RNG seed (runs are bit-reproducible)");
   flags.add_int("repeat", 1,
                 "independent repetitions (> 1 reports mean +/- 95% CI over "
                 "per-trial seed streams instead of one run's numbers)");
@@ -151,9 +136,10 @@ int run(int argc, char** argv) {
                    "inject faults: a preset (cts-loss | detector | rssi | burst-shift | "
                    "frame-loss | clock-jitter | mixed) or @file with one event per line");
   flags.add_list("set",
-                 "append one spec assignment key=value after every other override "
-                 "(e.g. --set medium.spatial_index=false for a brute-force twin "
-                 "of an indexed preset); repeat it to append several, in order");
+                 "append one spec assignment key=value to the scenario (e.g. "
+                 "--set coordination=ecc, --set burst.interval=150ms, or "
+                 "--set medium.spatial_index=false for a brute-force twin of an "
+                 "indexed preset); repeat it to append several, in order");
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", flags.error().c_str(),
@@ -209,50 +195,16 @@ int run(int argc, char** argv) {
   const Duration measure = Duration::from_sec(seconds);
 
   coex::ScenarioSpec spec;
-  const bool have_scenario = !flags.get_string("scenario").empty();
-  if (have_scenario && !load_scenario_spec(flags.get_string("scenario"), spec)) {
-    return 2;
-  }
-  // Every scenario flag lowers to a spec key. Without --scenario the flag
-  // defaults describe the whole scenario (exactly the spec defaults); with a
-  // spec, only flags the user explicitly passed override it.
-  const auto overriding = [&](const char* flag) {
-    return !have_scenario || flags.provided(flag);
-  };
-  // Millisecond flags reach the spec as text, so its duration reader bounds
-  // them; converting to a Duration here could overflow first.
-  const auto ms_text = [&](const char* flag) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17gms", flags.get_double(flag));
-    return std::string(buf);
-  };
-  if (overriding("scheme")) spec.set("coordination", flags.get_string("scheme"));
-  if (overriding("location")) spec.set("location", flags.get_string("location"));
-  if (overriding("wifi-traffic")) spec.set("wifi.traffic", flags.get_string("wifi-traffic"));
-  if (overriding("seed")) spec.set("seed", static_cast<std::uint64_t>(flags.get_int("seed")));
-  if (overriding("burst-packets")) spec.set("burst.packets", flags.get_int("burst-packets"));
-  if (overriding("burst-payload")) spec.set("burst.payload", flags.get_int("burst-payload"));
-  if (overriding("burst-interval-ms")) spec.set("burst.interval", ms_text("burst-interval-ms"));
-  if (overriding("poisson")) spec.set("burst.poisson", flags.get_bool("poisson"));
-  if (overriding("wifi-high-share")) {
-    spec.set("wifi.high_share", flags.get_double("wifi-high-share"));
-  }
-  if (overriding("ecc-whitespace-ms")) spec.set("ecc.whitespace", ms_text("ecc-whitespace-ms"));
-  if (overriding("ecc-period-ms")) spec.set("ecc.period", ms_text("ecc-period-ms"));
-  if (overriding("step-ms")) spec.set("allocator.initial_whitespace", ms_text("step-ms"));
-  if (overriding("person-mobility")) {
-    spec.set("mobility.person", flags.get_bool("person-mobility"));
-  }
-  if (overriding("device-mobility")) {
-    spec.set("mobility.device", flags.get_bool("device-mobility"));
-  }
+  const std::string scenario_arg = flags.get_string("scenario");
+  if (!scenario_arg.empty() && !load_scenario_spec(scenario_arg, spec)) return 2;
   const auto trim = [](std::string s) {
     const auto b = s.find_first_not_of(" \t");
     const auto e = s.find_last_not_of(" \t");
     return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
   };
-  // Appended last, in command-line order: later assignments win, so --set
-  // beats spec and flags, and a later --set beats an earlier one.
+  // Appended after the spec's own lines, in command-line order: later
+  // assignments win, so --set beats the spec, and a later --set beats an
+  // earlier one.
   for (const std::string& kv : flags.get_list("set")) {
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -278,9 +230,8 @@ int run(int argc, char** argv) {
   auto cfg = *lowered;
   // --fault-plan handles FaultPlan @files of its own (a different DSL than
   // ScenarioSpec), so it overrides the lowered plan wholesale.
-  if (flags.provided("fault-plan") || !have_scenario) {
-    if (!load_fault_plan(flags.get_string("fault-plan"), cfg.fault_plan)) return 2;
-  }
+  const std::string fault_arg = flags.get_string("fault-plan");
+  if (!fault_arg.empty() && !load_fault_plan(fault_arg, cfg.fault_plan)) return 2;
 
   if (repeat > 1) {
     if (!flags.get_string("trace-file").empty() || flags.get_bool("timeline")) {
@@ -320,9 +271,27 @@ int run(int argc, char** argv) {
     return 0;
   }
 
+  // The tracer buffers every record in memory during the run, so the file
+  // write happens exactly once, at exit, through a 1 MiB stream buffer (the
+  // default 8 KiB filebuf makes a syscall every few dozen JSONL lines). The
+  // file is opened here, before the run, so a bad path costs no simulation.
+  const std::string trace_path = flags.get_string("trace-file");
+  std::vector<char> trace_buf;
+  std::ofstream trace_out;
+  if (!trace_path.empty()) {
+    trace_buf.resize(std::size_t{1} << 20);
+    trace_out.rdbuf()->pubsetbuf(trace_buf.data(),
+                                 static_cast<std::streamsize>(trace_buf.size()));
+    trace_out.open(trace_path, std::ios::binary);
+    if (!trace_out) {
+      std::fprintf(stderr, "error: cannot open trace file '%s'\n", trace_path.c_str());
+      return 2;
+    }
+  }
+
   coex::Scenario scenario(cfg);
   std::unique_ptr<phy::MediumTracer> tracer;
-  if (!flags.get_string("trace-file").empty() || flags.get_bool("timeline")) {
+  if (!trace_path.empty() || flags.get_bool("timeline")) {
     tracer = std::make_unique<phy::MediumTracer>(scenario.medium(), 1 << 16);
   }
   std::unique_ptr<fault::InvariantChecker> checker;
@@ -457,27 +426,15 @@ int run(int argc, char** argv) {
       std::printf("\n%s",
                   tracer->render_timeline(end - Duration::from_ms(300), end).c_str());
     }
-    const std::string path = flags.get_string("trace-file");
-    if (!path.empty()) {
-      // The tracer buffers every record in memory during the run, so the
-      // file write happens exactly once, here at exit, through a 1 MiB
-      // stream buffer (the default 8 KiB filebuf makes a syscall every few
-      // dozen JSONL lines). Write time goes to stderr: it is wallclock, not
-      // simulation output, and stdout must stay byte-identical across runs.
+    if (!trace_path.empty()) {
+      // Write time goes to stderr: it is wallclock, not simulation output,
+      // and stdout must stay byte-identical across runs.
       const auto write_start = std::chrono::steady_clock::now();
-      std::vector<char> stream_buf(1 << 20);
-      std::ofstream out;
-      out.rdbuf()->pubsetbuf(stream_buf.data(),
-                             static_cast<std::streamsize>(stream_buf.size()));
-      out.open(path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot open trace file '%s'\n", path.c_str());
-        return 1;
-      }
-      tracer->write_jsonl(out);
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "error: short write to trace file '%s'\n", path.c_str());
+      tracer->write_jsonl(trace_out);
+      trace_out.flush();
+      if (!trace_out) {
+        std::fprintf(stderr, "error: short write to trace file '%s'\n",
+                     trace_path.c_str());
         return 1;
       }
       const double write_ms =
@@ -486,7 +443,7 @@ int run(int argc, char** argv) {
               .count();
       std::fprintf(stderr, "trace: write took %.2f ms\n", write_ms);
       std::printf("\ntrace: %zu transmissions written to %s\n",
-                  tracer->records().size(), path.c_str());
+                  tracer->records().size(), trace_path.c_str());
     }
   }
   return (checker != nullptr && !checker->ok()) ? 1 : 0;
