@@ -28,9 +28,12 @@
 #             TSAN, then a failover-preset bicordsim run (clock skew + primary
 #             kill/rejoin) whose invariant checker gates the exit code; part
 #             of the default full gate
-#   techs   — third/fourth-technology smoke: the LTE-U + TSCH suite under
-#             ASan/UBSan (the TechnologyTraits seam proof of DESIGN.md
-#             Sec. 14); the default gate's full ASan pass covers it too
+#   techs   — third/fourth-technology and fixed-period-device smoke under
+#             ASan/UBSan: the LTE-U + TSCH suite (the TechnologyTraits seam
+#             proof of DESIGN.md Sec. 14), the BLE suite, the interferer and
+#             Bluetooth-field cases and the PeriodicTask cases, so a device
+#             whose timer outlives it fails here; the default gate's full
+#             ASan pass covers them too
 #   bench   — perf smoke: one fast bench_micro pass asserting the
 #             machine-independent invariants (hot path allocation-free);
 #             absolute-time comparison is opt-in via scripts/bench.sh compare
@@ -126,13 +129,19 @@ fi
 
 # Techs smoke: the LTE-U and TSCH technologies — the two instantiations
 # that prove the TechnologyTraits seam carries a whole technology without
-# engine surgery — under ASan/UBSan. The golden file pins both presets'
+# engine surgery — plus every other fixed-period device (BLE links, the
+# microwave oven, Bluetooth fields) and the sim::PeriodicTask they all tick
+# on, under ASan/UBSan: a device destroyed with its tick still queued is a
+# use-after-free here. The golden file pins the lteu and tsch presets'
 # output bitwise.
 if [ "$MODE" = "techs" ]; then
-  echo "== techs smoke: ASan + UBSan, LTE-U + TSCH suite =="
+  echo "== techs smoke: ASan + UBSan, LTE-U + TSCH + fixed-period devices =="
   cmake -B build-asan -S . -DBICORD_SANITIZE=address > /dev/null
-  cmake --build build-asan -j "$JOBS" --target techs_tests
+  cmake --build build-asan -j "$JOBS" --target techs_tests ble_tests csi_detect_tests sim_tests
   ./build-asan/tests/techs_tests
+  ./build-asan/tests/ble_tests
+  ./build-asan/tests/csi_detect_tests --gtest_filter='InterfererFixture.*:BluetoothFieldTest.*'
+  ./build-asan/tests/sim_tests --gtest_filter='PeriodicTaskTest.*'
 
   echo
   echo "OK: techs smoke green (ASan/UBSan)"

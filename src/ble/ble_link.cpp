@@ -39,24 +39,11 @@ BleConnection::BleConnection(phy::Medium& medium, phy::NodeId master,
       master_(master),
       slave_(slave),
       config_(config),
-      rng_(medium.simulator().rng().split()) {
+      rng_(medium.simulator().rng().split()),
+      events_(sim_, config_.connection_interval, [this] { connection_event(); }) {
   map_.fill(true);
   if (std::gcd(config_.hop_increment, kDataChannels) != 1) {
     throw std::invalid_argument("BleConnection: hop_increment must be coprime with 37");
-  }
-}
-
-void BleConnection::start() {
-  if (running_) return;
-  running_ = true;
-  connection_event();
-}
-
-void BleConnection::stop() {
-  running_ = false;
-  if (event_ != sim::kInvalidEventId) {
-    sim_.cancel(event_);
-    event_ = sim::kInvalidEventId;
   }
 }
 
@@ -130,7 +117,6 @@ void BleConnection::judge_packet(phy::NodeId to, int channel, double tx_power_db
 }
 
 void BleConnection::connection_event() {
-  if (!running_) return;
   ++stats_.events;
   const int channel = next_enabled_channel();
   if (channel < 0) {
@@ -139,14 +125,10 @@ void BleConnection::connection_event() {
     // Master -> slave, then slave -> master after T_IFS.
     const Duration m_air = transmit_packet(master_, slave_, channel);
     sim_.after(m_air + kIfs, [this, channel] {
-      if (!running_) return;
+      if (!events_.running()) return;
       transmit_packet(slave_, master_, channel);
     });
   }
-  event_ = sim_.after(config_.connection_interval, [this] {
-    event_ = sim::kInvalidEventId;
-    connection_event();
-  });
 }
 
 }  // namespace bicord::ble

@@ -50,8 +50,9 @@ class BleConnection {
   BleConnection(phy::Medium& medium, phy::NodeId master, phy::NodeId slave,
                 Config config);
 
-  void start();
-  void stop();
+  /// First connection event now, then one per interval. Idempotent.
+  void start() { events_.start_now(); }
+  void stop() { events_.stop(); }
 
   /// Adaptive frequency hopping: include/exclude a data channel. At least
   /// two channels must stay enabled; excess exclusions are refused (false).
@@ -83,8 +84,7 @@ class BleConnection {
 
   std::array<bool, kDataChannels> map_;
   int channel_ = 0;
-  bool running_ = false;
-  sim::EventId event_ = sim::kInvalidEventId;
+  sim::PeriodicTask events_;
   Stats stats_;
 };
 

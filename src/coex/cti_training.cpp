@@ -29,45 +29,25 @@ class RawPeriodicTx {
   RawPeriodicTx(phy::Medium& medium, phy::Frame frame, phy::Band band,
                 double power_dbm, Duration airtime, Duration gap)
       : medium_(medium),
-        sim_(medium.simulator()),
         frame_(frame),
         band_(band),
         power_dbm_(power_dbm),
         airtime_(airtime),
-        gap_(gap) {}
+        task_(medium.simulator(), airtime + gap, [this] {
+          ++frame_.seq;
+          medium_.begin_tx(frame_, band_, power_dbm_, airtime_);
+        }) {}
 
-  void start() {
-    running_ = true;
-    fire();
-  }
-  void stop() {
-    running_ = false;
-    if (event_ != sim::kInvalidEventId) {
-      sim_.cancel(event_);
-      event_ = sim::kInvalidEventId;
-    }
-  }
+  void start() { task_.start_now(); }
+  void stop() { task_.stop(); }
 
  private:
-  void fire() {
-    if (!running_) return;
-    ++frame_.seq;
-    medium_.begin_tx(frame_, band_, power_dbm_, airtime_);
-    event_ = sim_.after(airtime_ + gap_, [this] {
-      event_ = sim::kInvalidEventId;
-      fire();
-    });
-  }
-
   phy::Medium& medium_;
-  sim::Simulator& sim_;
   phy::Frame frame_;
   phy::Band band_;
   double power_dbm_;
   Duration airtime_;
-  Duration gap_;
-  bool running_ = false;
-  sim::EventId event_ = sim::kInvalidEventId;
+  sim::PeriodicTask task_;
 };
 
 void collect_segments(sim::Simulator& sim, detect::RssiSampler& sampler, int count,

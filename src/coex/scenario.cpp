@@ -228,16 +228,7 @@ void Scenario::build_coordination() {
       wa.allocator = config_.allocator;
       wa.csi = config_.csi;
       wa.detector = config_.detector;
-      bicord_wifi_ = std::make_unique<core::BiCordWifiAgent>(
-          wifi::grantor_port(*wifi_receiver_mac_), wa);
-      if (!config_.wifi_grants_requests) {
-        bicord_wifi_->set_policy([] { return false; });
-      } else if (config_.wifi_traffic == WifiTrafficKind::Priority) {
-        // Sec. VIII-G: ignore ZigBee requests while video (high priority)
-        // traffic is active.
-        auto* src = priority_source_.get();
-        bicord_wifi_->set_policy([src] { return !src->high_priority_active(); });
-      }
+      bicord_wifi_ = make_grantor(*wifi_receiver_mac_, wa);
       if (!config_.extra_grantors_m.empty()) build_grantors(wa, sig_power);
       break;
     }
@@ -274,11 +265,7 @@ void Scenario::build_coordination() {
       wa.traits = &core::kTschTraits;
       wa.grant_margin = core::kTschTraits.grant_margin;
       wa.watchdog_slack = core::kTschTraits.watchdog_slack;
-      bicord_wifi_ = std::make_unique<core::BiCordWifiAgent>(
-          wifi::grantor_port(*wifi_receiver_mac_), wa);
-      if (!config_.wifi_grants_requests) {
-        bicord_wifi_->set_policy([] { return false; });
-      }
+      bicord_wifi_ = make_grantor(*wifi_receiver_mac_, wa);
       zigbee::TschHopSchedule::Config hc;
       hc.hop_period = config_.tsch_hop_period;
       tsch_schedule_ = std::make_unique<zigbee::TschHopSchedule>(*sim_, hc);
@@ -310,6 +297,20 @@ void Scenario::build_coordination() {
   burst_source_->start();
 }
 
+std::unique_ptr<core::BiCordWifiAgent> Scenario::make_grantor(
+    wifi::WifiMac& mac, const core::BiCordWifiAgent::Config& wa) {
+  auto agent = std::make_unique<core::BiCordWifiAgent>(wifi::grantor_port(mac), wa);
+  if (!config_.wifi_grants_requests) {
+    agent->set_policy([] { return false; });
+  } else if (config_.wifi_traffic == WifiTrafficKind::Priority) {
+    // Sec. VIII-G: ignore ZigBee requests while video (high priority)
+    // traffic is active.
+    auto* src = priority_source_.get();
+    agent->set_policy([src] { return !src->high_priority_active(); });
+  }
+  return agent;
+}
+
 void Scenario::build_grantors(const core::BiCordWifiAgent::Config& wa,
                               double sig_power) {
   // Election metric: the mean received signaling power of the requester at
@@ -337,13 +338,7 @@ void Scenario::build_grantors(const core::BiCordWifiAgent::Config& wa,
 
     ExtraGrantor g;
     g.mac = std::make_unique<wifi::WifiMac>(*medium_, node, testbed_wifi_config());
-    g.agent = std::make_unique<core::BiCordWifiAgent>(wifi::grantor_port(*g.mac), wa);
-    if (!config_.wifi_grants_requests) {
-      g.agent->set_policy([] { return false; });
-    } else if (config_.wifi_traffic == WifiTrafficKind::Priority) {
-      auto* src = priority_source_.get();
-      g.agent->set_policy([src] { return !src->high_priority_active(); });
-    }
+    g.agent = make_grantor(*g.mac, wa);
     g.agent->join_election(*election_, metric_dbm(dist));
     extra_grantors_.push_back(std::move(g));
   }
@@ -599,12 +594,6 @@ core::BiCordZigbeeAgent* Scenario::bicord_zigbee() {
 
 zigbee::TschRequester* Scenario::tsch_requester() {
   return dynamic_cast<zigbee::TschRequester*>(zigbee_agent_.get());
-}
-
-core::BiCordWifiAgent* Scenario::grantor_agent(std::size_t member) {
-  if (member == 0) return bicord_wifi_.get();
-  if (member - 1 < extra_grantors_.size()) return extra_grantors_[member - 1].agent.get();
-  return nullptr;
 }
 
 core::ZigbeeAgentBase& Scenario::zigbee_agent_at(std::size_t i) {

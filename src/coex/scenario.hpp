@@ -224,8 +224,6 @@ class Scenario {
   [[nodiscard]] core::BiCordWifiAgent* bicord_wifi() { return bicord_wifi_.get(); }
   [[nodiscard]] core::BiCordZigbeeAgent* bicord_zigbee();
   [[nodiscard]] core::EccWifiAgent* ecc_wifi() { return ecc_wifi_.get(); }
-  /// Non-null when `zigbee_duty_cycle` is enabled.
-  [[nodiscard]] zigbee::DutyCycler* duty_cycler() { return duty_cycler_.get(); }
   /// Non-null only under Coordination::LteU: the duty-cycled eNB and its
   /// undecodable-request grantor.
   [[nodiscard]] interferers::LteUDevice* lteu_device() { return lteu_device_.get(); }
@@ -235,9 +233,6 @@ class Scenario {
   [[nodiscard]] zigbee::TschHopSchedule* tsch_schedule() { return tsch_schedule_.get(); }
   [[nodiscard]] zigbee::TschRequester* tsch_requester();
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
-  [[nodiscard]] wifi::PriorityScheduleSource* priority_source() {
-    return priority_source_.get();
-  }
   /// Non-null when the config carried a non-empty fault plan.
   [[nodiscard]] fault::FaultInjector* fault_injector() { return fault_injector_.get(); }
 
@@ -246,14 +241,6 @@ class Scenario {
   /// BiCord: the shared election over all co-located grantors.
   [[nodiscard]] core::GrantorElection* election() { return election_.get(); }
   [[nodiscard]] const core::GrantorElection* election() const { return election_.get(); }
-  /// Extra grantor APs beyond the testbed receiver F.
-  [[nodiscard]] std::size_t extra_grantor_count() const { return extra_grantors_.size(); }
-  [[nodiscard]] core::BiCordWifiAgent& extra_grantor_agent(std::size_t i) {
-    return *extra_grantors_.at(i).agent;
-  }
-  /// Grantor agent by election-member order: 0 = testbed F, 1.. = extras.
-  /// Null when out of range or not a BiCord scenario.
-  [[nodiscard]] core::BiCordWifiAgent* grantor_agent(std::size_t member);
 
   // --- dense field access -----------------------------------------------------
   /// Background devices actually built (0 unless the config's dense spec is
@@ -300,6 +287,11 @@ class Scenario {
   void build_topology();
   void build_wifi_traffic();
   void build_coordination();
+  /// A BiCord-stack grantor on `mac` carrying the scenario's request
+  /// policy. Every grantor (testbed F under BiCord or TSCH, each extra AP)
+  /// is built here, so none can miss the policy.
+  std::unique_ptr<core::BiCordWifiAgent> make_grantor(
+      wifi::WifiMac& mac, const core::BiCordWifiAgent::Config& wa);
   /// Extra grantor APs + the shared election (BiCord + extra_grantors_m).
   void build_grantors(const core::BiCordWifiAgent::Config& wa, double sig_power);
   void build_extra_zigbee();

@@ -11,28 +11,14 @@ BluetoothField::BluetoothField(phy::Medium& medium, Config config)
 
 void BluetoothField::add(phy::NodeId node) {
   members_.push_back(Member{node, medium_.simulator().rng().split()});
-  if (running_) slot(members_.back());
-}
-
-void BluetoothField::start() {
-  if (running_) return;
-  running_ = true;
-  tick();
-  // The clock re-arms after each tick returns, exactly where a device that
-  // reschedules itself at the end of its slot would queue its next one.
-  if (running_) clock_.start();
-}
-
-void BluetoothField::stop() {
-  running_ = false;
-  clock_.stop();
+  if (clock_.running()) slot(members_.back());
 }
 
 void BluetoothField::tick() {
   // Indexed, and bounded at the size on entry: listener code runs inside
   // each slot and may stop the field or add a member.
   const std::size_t n = members_.size();
-  for (std::size_t i = 0; i < n && running_; ++i) slot(members_[i]);
+  for (std::size_t i = 0; i < n && clock_.running(); ++i) slot(members_[i]);
 }
 
 void BluetoothField::slot(Member& m) {

@@ -50,10 +50,10 @@ class BluetoothField {
   void add(phy::NodeId node);
   /// Runs every member's first slot at once, then one tick per slot.
   /// Idempotent.
-  void start();
+  void start() { clock_.start_now(); }
   /// Cancels the clock: no member transmits again until start().
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
+  void stop() { clock_.stop(); }
+  [[nodiscard]] bool running() const { return clock_.running(); }
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   /// Packets sent by all members together.
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_; }
@@ -73,7 +73,6 @@ class BluetoothField {
   Config config_;
   sim::PeriodicTask clock_;
   std::vector<Member> members_;
-  bool running_ = false;
   std::uint64_t packets_ = 0;
 };
 

@@ -5,21 +5,11 @@ namespace bicord::interferers {
 LteUDevice::Config::Config() : band(phy::wifi_channel(11)) {}
 
 LteUDevice::LteUDevice(phy::Medium& medium, phy::NodeId node, Config config)
-    : medium_(medium), sim_(medium.simulator()), node_(node), config_(config) {}
-
-void LteUDevice::start() {
-  if (running_) return;
-  running_ = true;
-  cycle_tick();
-}
-
-void LteUDevice::stop() {
-  running_ = false;
-  if (event_ != sim::kInvalidEventId) {
-    sim_.cancel(event_);
-    event_ = sim::kInvalidEventId;
-  }
-}
+    : medium_(medium),
+      sim_(medium.simulator()),
+      node_(node),
+      config_(config),
+      cycle_(sim_, config_.period, [this] { cycle_tick(); }) {}
 
 void LteUDevice::suppress_for(Duration d) {
   const TimePoint until = sim_.now() + d;
@@ -33,7 +23,6 @@ Duration LteUDevice::on_duration() const {
 }
 
 void LteUDevice::cycle_tick() {
-  if (!running_) return;
   if (suppressed()) {
     ++suppressed_cycles_;
   } else {
@@ -50,10 +39,6 @@ void LteUDevice::cycle_tick() {
       ++bursts_;
     }
   }
-  event_ = sim_.after(config_.period, [this] {
-    event_ = sim::kInvalidEventId;
-    cycle_tick();
-  });
 }
 
 namespace {

@@ -53,14 +53,15 @@ class LteUDevice {
       : LteUDevice(medium, node, Config{}) {}
   LteUDevice(phy::Medium& medium, phy::NodeId node, Config config);
 
-  void start();
-  void stop();
+  /// First cycle now, then one per period. Idempotent.
+  void start() { cycle_.start_now(); }
+  void stop() { cycle_.stop(); }
   /// Skip ON bursts until `sim.now() + d` (extends, never shortens). The
   /// burst already on the air — if any — completes; the grantor's traits
   /// margin covers that tail.
   void suppress_for(Duration d);
 
-  [[nodiscard]] bool running() const { return running_; }
+  [[nodiscard]] bool running() const { return cycle_.running(); }
   [[nodiscard]] bool suppressed() const;
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] Duration on_duration() const;
@@ -74,8 +75,7 @@ class LteUDevice {
   sim::Simulator& sim_;
   phy::NodeId node_;
   Config config_;
-  bool running_ = false;
-  sim::EventId event_ = sim::kInvalidEventId;
+  sim::PeriodicTask cycle_;
   TimePoint suppress_until_;
   std::uint64_t bursts_ = 0;
   std::uint64_t suppressed_cycles_ = 0;

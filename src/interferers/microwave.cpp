@@ -4,27 +4,12 @@ namespace bicord::interferers {
 
 MicrowaveOven::MicrowaveOven(phy::Medium& medium, phy::NodeId node, Config config)
     : medium_(medium),
-      sim_(medium.simulator()),
       node_(node),
       config_(config),
-      rng_(medium.simulator().rng().split()) {}
-
-void MicrowaveOven::start() {
-  if (running_) return;
-  running_ = true;
-  cycle_tick();
-}
-
-void MicrowaveOven::stop() {
-  running_ = false;
-  if (event_ != sim::kInvalidEventId) {
-    sim_.cancel(event_);
-    event_ = sim::kInvalidEventId;
-  }
-}
+      rng_(medium.simulator().rng().split()),
+      cycle_(medium.simulator(), config_.mains_period, [this] { cycle_tick(); }) {}
 
 void MicrowaveOven::cycle_tick() {
-  if (!running_) return;
   ++cycles_;
   const Duration nominal_on =
       Duration::from_sec_f(config_.mains_period.sec() * config_.duty_cycle);
@@ -40,11 +25,6 @@ void MicrowaveOven::cycle_tick() {
   frame.dst = phy::kBroadcastNode;
   frame.seq = cycles_;
   medium_.begin_tx(frame, config_.band, config_.tx_power_dbm, on);
-
-  event_ = sim_.after(config_.mains_period, [this] {
-    event_ = sim::kInvalidEventId;
-    cycle_tick();
-  });
 }
 
 }  // namespace bicord::interferers

@@ -31,21 +31,20 @@ class MicrowaveOven {
       : MicrowaveOven(medium, node, Config{}) {}
   MicrowaveOven(phy::Medium& medium, phy::NodeId node, Config config);
 
-  void start();
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
+  /// First mains cycle now, then one per period. Idempotent.
+  void start() { cycle_.start_now(); }
+  void stop() { cycle_.stop(); }
+  [[nodiscard]] bool running() const { return cycle_.running(); }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
  private:
   void cycle_tick();
 
   phy::Medium& medium_;
-  sim::Simulator& sim_;
   phy::NodeId node_;
   Config config_;
   Rng rng_;
-  bool running_ = false;
-  sim::EventId event_ = sim::kInvalidEventId;
+  sim::PeriodicTask cycle_;
   std::uint64_t cycles_ = 0;
 };
 

@@ -22,13 +22,6 @@ Radio::Radio(Medium& medium, NodeId node, Config config)
 
 Radio::~Radio() { medium_.detach(this); }
 
-void Radio::set_band(Band band) {
-  if (state_ != RadioState::Idle && state_ != RadioState::Sleep) {
-    throw std::logic_error("Radio::set_band: radio busy");
-  }
-  apply_band(band);
-}
-
 void Radio::retune(Band band) {
   if (rx_) {
     // The lock is gone the instant the synthesizer moves: no decode draw,
@@ -39,10 +32,6 @@ void Radio::retune(Band band) {
   }
   // A transmission in flight is unaffected: the medium carries its original
   // band, and own-tx completion does not consult config_.band.
-  apply_band(band);
-}
-
-void Radio::apply_band(Band band) {
   config_.band = band;
   noise_mw_ = dbm_to_mw(Medium::noise_floor_dbm(band));
   // Retuning changes what the front end sees of every transmission already

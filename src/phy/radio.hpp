@@ -87,20 +87,19 @@ class Radio final : public MediumListener {
   [[nodiscard]] RadioState state() const { return state_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] Band band() const { return config_.band; }
-  void set_band(Band band);
-  /// Frequency-agility variant of set_band for hopping radios (TSCH slot
-  /// boundaries): legal in any state. An in-progress reception is lost —
-  /// the slot-boundary truncation a real hopping receiver suffers (counted
-  /// in receptions_truncated()). An in-progress transmission keeps its
-  /// original band on the medium (the carrier is already on the air); only
-  /// the receive front end moves.
+  /// Moves the radio to `band`: the one band change, legal in any state
+  /// (a TSCH slot boundary hops at any instant). An in-progress reception
+  /// is lost — the slot-boundary truncation a real hopping receiver suffers
+  /// (counted in receptions_truncated()). An in-progress transmission keeps
+  /// its original band on the medium (the carrier is already on the air);
+  /// only the receive front end moves.
   ///
-  /// Both set_band and retune keep every tracked transmission's fading
-  /// draw; one whose band the new band misses contributes nothing until a
-  /// later retune overlaps it again. A foreign transmission in flight that
-  /// the radio did not track (its band missed the old band) and that
-  /// overlaps the new one is picked up with a fresh fading draw, in
-  /// ascending TxId order, if it began after the radio attached.
+  /// Every tracked transmission keeps its fading draw; one whose band the
+  /// new band misses contributes nothing until a later retune overlaps it
+  /// again. A foreign transmission in flight that the radio did not track
+  /// (its band missed the old band) and that overlaps the new one is picked
+  /// up with a fresh fading draw, in ascending TxId order, if it began after
+  /// the radio attached.
   void retune(Band band);
 
   void set_rx_callback(RxCallback cb) { rx_cb_ = std::move(cb); }
@@ -119,9 +118,9 @@ class Radio final : public MediumListener {
   /// re-evaluations in the MACs never re-walk the medium. The reading
   /// includes this radio's per-transmission fading draw (the ED front end
   /// measures the same channel the demodulator sees). Each transmission's
-  /// power is evaluated against the radio's current band — set_band()
-  /// recomputes the tracked entries on retune — and one whose band misses
-  /// it adds nothing.
+  /// power is evaluated against the radio's current band — retune()
+  /// recomputes the tracked entries — and one whose band misses it adds
+  /// nothing.
   [[nodiscard]] double energy_dbm() const;
 
   /// True if a frame this radio could decode is currently on the air and
@@ -150,7 +149,7 @@ class Radio final : public MediumListener {
   /// pre-converted to linear units at insertion (on_tx_start): the SINR
   /// update runs on every medium edge and must not pay a pow() per entry.
   /// `sinr_mw` already includes the narrowband discount. Both powers are
-  /// evaluated against the radio's current band; set_band() recomputes every
+  /// evaluated against the radio's current band; retune() recomputes every
   /// entry so a retune mid-air never mixes old-band signal powers with the
   /// new band's noise floor. `fading_db` keeps the per-transmission fading
   /// draw so that recomputation preserves it. An entry whose band misses the
@@ -171,10 +170,6 @@ class Radio final : public MediumListener {
   };
 
   void enter(RadioState next);
-  /// Shared tail of set_band/retune: swap the band, recompute every
-  /// tracked entry (and the noise floor) against it, and pick up the
-  /// untracked in-flight transmissions it now overlaps.
-  void apply_band(Band band);
   /// True when `tx` reaches this radio at all: a foreign, undropped,
   /// audible transmission whose band overlaps the radio's band.
   [[nodiscard]] bool hears(const ActiveTransmission& tx) const;
@@ -182,7 +177,7 @@ class Radio final : public MediumListener {
   void track(const ActiveTransmission& tx);
   /// Builds the tracked-power entry for `tx` against the radio's current
   /// band, applying `fading_db` and the narrowband discount. Shared by
-  /// track() and the set_band recompute.
+  /// track() and the retune() recompute.
   [[nodiscard]] Ongoing make_ongoing(const ActiveTransmission& tx,
                                      double fading_db) const;
   /// True when this radio's PHY can demodulate `tx` (same technology and

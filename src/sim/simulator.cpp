@@ -57,6 +57,13 @@ bool Simulator::step() {
   return true;
 }
 
+namespace {
+/// `event_` while start_now()'s inline tick runs, so running() reads true.
+/// No real id equals it (an EventQueue id carries its slot + 1 in the high
+/// word), so cancel() and set_event_period() reject it as invalid.
+constexpr EventId kInlineTick = 1;
+}  // namespace
+
 PeriodicTask::PeriodicTask(Simulator& sim, Duration period, std::function<void()> tick)
     : sim_(sim), period_(period), tick_(std::move(tick)) {
   if (period_ <= Duration::zero()) {
@@ -72,6 +79,14 @@ void PeriodicTask::start() { start_after(period_); }
 void PeriodicTask::start_after(Duration initial_delay) {
   stop();
   arm(initial_delay);
+}
+
+void PeriodicTask::start_now() {
+  if (running()) return;
+  event_ = kInlineTick;
+  tick_();
+  // A stop() inside the tick cleared the marker, a restart replaced it.
+  if (event_ == kInlineTick) arm(period_);
 }
 
 void PeriodicTask::stop() {

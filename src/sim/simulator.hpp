@@ -69,11 +69,11 @@ class Simulator {
   std::uint64_t dispatched_ = 0;
 };
 
-/// Fires every `period` until stop() — convenient for traffic generators,
-/// expiry timers, and samplers. Safe to destroy before the simulator (it
-/// cancels its pending event). Built on Simulator::every(), so a running
-/// task occupies one reusable queue slot instead of re-scheduling a fresh
-/// event per tick.
+/// Fires every `period` until stop() — the one timer for fixed-period devices
+/// (traffic generators, interferers, slot clocks), expiry timers and
+/// samplers. Safe to destroy before the simulator (it cancels its pending
+/// event). Built on Simulator::every(), so a running task occupies one
+/// reusable queue slot instead of re-scheduling a fresh event per tick.
 class PeriodicTask {
  public:
   PeriodicTask(Simulator& sim, Duration period, std::function<void()> tick);
@@ -85,6 +85,11 @@ class PeriodicTask {
   void start();
   /// Starts with the first tick after `initial_delay`.
   void start_after(Duration initial_delay);
+  /// Unless running: runs one tick now, inline, and then arms the next tick
+  /// `period` later — after the tick returns, so the re-arm queues behind
+  /// every event the tick scheduled, as a periodic event's re-arm does.
+  /// running() is true during that tick; a stop() inside it holds.
+  void start_now();
   void stop();
   [[nodiscard]] bool running() const { return event_ != kInvalidEventId; }
   void set_period(Duration period);

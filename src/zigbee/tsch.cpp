@@ -3,7 +3,7 @@
 namespace bicord::zigbee {
 
 TschHopSchedule::TschHopSchedule(sim::Simulator& sim, Config config)
-    : sim_(sim), config_(std::move(config)) {
+    : config_(std::move(config)), clock_(sim, config_.hop_period, [this] { hop_tick(); }) {
   if (config_.channels.empty()) config_.channels = {21, 22, 23, 24};
 }
 
@@ -13,38 +13,11 @@ void TschHopSchedule::add_radio(phy::Radio& radio) {
 }
 
 int TschHopSchedule::current_channel() const {
-  return config_.channels[slot_ % config_.channels.size()];
-}
-
-void TschHopSchedule::start() {
-  if (running_) return;
-  running_ = true;
-  event_ = sim_.after(config_.hop_period, [this] {
-    event_ = sim::kInvalidEventId;
-    hop_tick();
-  });
-}
-
-void TschHopSchedule::stop() {
-  running_ = false;
-  if (event_ != sim::kInvalidEventId) {
-    sim_.cancel(event_);
-    event_ = sim::kInvalidEventId;
-  }
+  return config_.channels[hops_ % config_.channels.size()];
 }
 
 void TschHopSchedule::hop_tick() {
-  if (!running_) return;
-  ++slot_;
   ++hops_;
-  retune_all();
-  event_ = sim_.after(config_.hop_period, [this] {
-    event_ = sim::kInvalidEventId;
-    hop_tick();
-  });
-}
-
-void TschHopSchedule::retune_all() {
   const phy::Band band = phy::zigbee_channel(current_channel());
   // Lockstep retune: a frame already on the air keeps its original band on
   // the medium; a receiver retuned mid-reception loses the lock — exactly

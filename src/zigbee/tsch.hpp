@@ -53,24 +53,24 @@ class TschHopSchedule {
   /// and on every subsequent boundary. Radios must outlive the schedule.
   void add_radio(phy::Radio& radio);
 
-  void start();
-  void stop();
+  /// First hop one period from now. Idempotent.
+  void start() {
+    if (!clock_.running()) clock_.start();
+  }
+  void stop() { clock_.stop(); }
 
-  [[nodiscard]] bool running() const { return running_; }
+  [[nodiscard]] bool running() const { return clock_.running(); }
   [[nodiscard]] int current_channel() const;
   [[nodiscard]] std::uint64_t hops() const { return hops_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
+  /// One slot boundary: advance the hop pattern and retune every radio.
   void hop_tick();
-  void retune_all();
 
-  sim::Simulator& sim_;
   Config config_;
+  sim::PeriodicTask clock_;
   std::vector<phy::Radio*> radios_;
-  std::size_t slot_ = 0;
-  bool running_ = false;
-  sim::EventId event_ = sim::kInvalidEventId;
   std::uint64_t hops_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "ble/ble_bicord.hpp"
 #include "ble/ble_link.hpp"
 #include "ble/ble_zigbee_agent.hpp"
@@ -98,6 +101,42 @@ TEST_F(BleFixture, RejectsBadHopIncrement) {
   BleConnection::Config cfg;
   cfg.hop_increment = 37;  // not coprime
   EXPECT_THROW(BleConnection(medium, master, slave, cfg), std::invalid_argument);
+}
+
+TEST_F(BleFixture, DestroyingARunningLinkCancelsItsEvents) {
+  auto link = std::make_unique<BleConnection>(medium, master, slave,
+                                              BleConnection::Config{});
+  link->start();
+  sim.run_for(5_ms);  // the first event's packets are done; the next is queued
+  const auto pending = sim.pending_events();
+  link.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+}
+
+/// Stops the link from inside its first packet's start edge, i.e. during the
+/// link's own connection event.
+struct StopOnFirstPacket final : phy::MediumListener {
+  BleConnection* link = nullptr;
+  void on_tx_start(const phy::ActiveTransmission&) override {
+    if (link != nullptr) std::exchange(link, nullptr)->stop();
+  }
+  void on_tx_end(const phy::ActiveTransmission&) override {}
+};
+
+TEST_F(BleFixture, StopInsideTheFirstEventThenRestartRunsOneChain) {
+  BleConnection::Config cfg;
+  cfg.connection_interval = 15_ms;
+  BleConnection link(medium, master, slave, cfg);
+  StopOnFirstPacket stopper;
+  stopper.link = &link;
+  medium.attach(&stopper);
+  link.start();
+  sim.run_for(10_ms);
+  link.start();
+  sim.run_for(150_ms);
+  // The first event at 0, then one per 15 ms interval from 10 to 160 ms.
+  EXPECT_EQ(link.stats().events, 12u);
+  medium.detach(&stopper);
 }
 
 struct BleCoexFixture : BleFixture {

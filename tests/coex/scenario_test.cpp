@@ -175,15 +175,19 @@ TEST(ScenarioTest, OverloadedZigbeeBacklogIsCapped) {
 }
 
 TEST(ScenarioTest, PriorityTrafficPolicyIgnoresDuringVideo) {
-  auto cfg = config_for(Coordination::BiCord);
-  cfg.wifi_traffic = WifiTrafficKind::Priority;
-  cfg.wifi_high_share = 0.5;
-  Scenario sc(cfg);
-  sc.run_for(8_sec);
-  EXPECT_GT(sc.bicord_wifi()->requests_ignored(), 0u);
-  EXPECT_GT(sc.bicord_wifi()->whitespaces_granted(), 0u);
-  // High-priority Wi-Fi frames keep flowing.
-  EXPECT_GT(sc.wifi_delay_ms(1).count(), 50u);
+  // TSCH runs the same grantor stack, so it must carry the same policy.
+  for (const Coordination coordination : {Coordination::BiCord, Coordination::Tsch}) {
+    SCOPED_TRACE(to_string(coordination));
+    auto cfg = config_for(coordination);
+    cfg.wifi_traffic = WifiTrafficKind::Priority;
+    cfg.wifi_high_share = 0.5;
+    Scenario sc(cfg);
+    sc.run_for(8_sec);
+    EXPECT_GT(sc.bicord_wifi()->requests_ignored(), 0u);
+    EXPECT_GT(sc.bicord_wifi()->whitespaces_granted(), 0u);
+    // High-priority Wi-Fi frames keep flowing.
+    EXPECT_GT(sc.wifi_delay_ms(1).count(), 50u);
+  }
 }
 
 TEST(ScenarioTest, DeterministicForSameSeed) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "detect/features.hpp"
@@ -94,6 +95,40 @@ TEST_F(InterfererFixture, MicrowaveEnergyIsStrong) {
   sim.run_for(5_ms);  // first cycle's on-phase
   EXPECT_GT(medium.energy_dbm(collector, phy::zigbee_channel(24)), -60.0);
   oven.stop();
+}
+
+TEST_F(InterfererFixture, MicrowaveDestroyedWhileRunningCancelsItsCycle) {
+  auto oven = std::make_unique<MicrowaveOven>(medium, source);
+  oven->start();
+  sim.run_for(15_ms);  // the first on-time has ended; the next cycle is queued
+  const auto pending = sim.pending_events();
+  oven.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+}
+
+/// Stops the oven from inside its first emission's start edge, i.e. during
+/// the oven's own tick.
+struct StopOnFirstEmission final : phy::MediumListener {
+  MicrowaveOven* oven = nullptr;
+  void on_tx_start(const phy::ActiveTransmission&) override {
+    if (oven != nullptr) std::exchange(oven, nullptr)->stop();
+  }
+  void on_tx_end(const phy::ActiveTransmission&) override {}
+};
+
+TEST_F(InterfererFixture, MicrowaveStopInsideTheFirstCycleThenRestartRunsOneChain) {
+  MicrowaveOven oven(medium, source);
+  StopOnFirstEmission stopper;
+  stopper.oven = &oven;
+  medium.attach(&stopper);
+  oven.start();
+  EXPECT_FALSE(oven.running());
+  sim.run_for(10_ms);
+  oven.start();
+  sim.run_for(200_ms);
+  // The first cycle at 0, then one per 20 ms period from 10 to 210 ms.
+  EXPECT_EQ(oven.cycles(), 12u);
+  medium.detach(&stopper);
 }
 
 TEST_F(InterfererFixture, StartIsIdempotent) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "coex/scenario.hpp"
 #include "coex/scenario_spec.hpp"
 #include "interferers/lteu.hpp"
@@ -90,6 +93,40 @@ TEST_F(LteUFixture, SuppressionExtendsButNeverShortens) {
   EXPECT_TRUE(device.suppressed());
   sim.run_for(15_ms);
   EXPECT_FALSE(device.suppressed());
+}
+
+TEST_F(LteUFixture, DestroyingARunningDeviceCancelsItsCycle) {
+  auto device = std::make_unique<LteUDevice>(medium, enb);
+  device->start();
+  sim.run_for(15_ms);  // the first burst has ended; the next cycle is queued
+  const auto pending = sim.pending_events();
+  device.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+}
+
+/// Stops the device from inside the first transmission's start edge, i.e.
+/// during the device's own tick.
+struct StopOnFirstBurst final : phy::MediumListener {
+  LteUDevice* device = nullptr;
+  void on_tx_start(const phy::ActiveTransmission&) override {
+    if (device != nullptr) std::exchange(device, nullptr)->stop();
+  }
+  void on_tx_end(const phy::ActiveTransmission&) override {}
+};
+
+TEST_F(LteUFixture, StopInsideTheFirstCycleThenRestartRunsOneChain) {
+  LteUDevice device(medium, enb);
+  StopOnFirstBurst stopper;
+  stopper.device = &device;
+  medium.attach(&stopper);
+  device.start();
+  EXPECT_FALSE(device.running());
+  sim.run_for(10_ms);
+  device.start();
+  sim.run_for(200_ms);
+  // The first burst at 0, then one per 20 ms period from 10 to 210 ms.
+  EXPECT_EQ(device.bursts_sent(), 12u);
+  medium.detach(&stopper);
 }
 
 TEST_F(LteUFixture, GrantorLeasesFromEnergyEnvelopeWithoutDecoding) {

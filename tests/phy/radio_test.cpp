@@ -226,10 +226,10 @@ TEST_F(RadioFixture, RetuneRecomputesOngoingForeignPowers) {
   const double on_band = rx.energy_dbm();
   EXPECT_GT(on_band, -60.0);
   // Retune to a channel outside the transmission's band: only noise remains.
-  rx.set_band(zigbee_channel(11));
+  rx.retune(zigbee_channel(11));
   EXPECT_NEAR(rx.energy_dbm(), Medium::noise_floor_dbm(zigbee_channel(11)), 0.5);
   // Retune back: the original reading returns exactly (same fading draw).
-  rx.set_band(zigbee_channel(24));
+  rx.retune(zigbee_channel(24));
   EXPECT_DOUBLE_EQ(rx.energy_dbm(), on_band);
 }
 
@@ -398,7 +398,7 @@ TEST_P(BandContract, RetunedAwayEntryAddsNoInterference) {
   const double tracked = rx.energy_dbm();
   EXPECT_GT(tracked, Medium::noise_floor_dbm(zigbee_channel(24)) + 10.0);
 
-  rx.set_band(zigbee_channel(11));
+  rx.retune(zigbee_channel(11));
   EXPECT_EQ(rx.energy_dbm(), w.medium_energy(zigbee_channel(11)));
   Frame f;
   f.tech = Technology::ZigBee;
@@ -414,7 +414,7 @@ TEST_P(BandContract, RetunedAwayEntryAddsNoInterference) {
   EXPECT_EQ(got->min_sinr_db,
             got->rssi_dbm - Medium::noise_floor_dbm(zigbee_channel(11)));
 
-  rx.set_band(zigbee_channel(24));
+  rx.retune(zigbee_channel(24));
   EXPECT_EQ(rx.energy_dbm(), tracked);
 }
 

@@ -156,5 +156,68 @@ TEST(PeriodicTaskTest, DestructorCancels) {
   EXPECT_EQ(ticks, 0);
 }
 
+TEST(PeriodicTaskTest, StartNowTicksInlineThenEveryPeriod) {
+  Simulator sim;
+  std::vector<std::int64_t> times;
+  PeriodicTask task(sim, 10_ms, [&] { times.push_back(sim.now().us()); });
+  task.start_now();
+  EXPECT_EQ(times, (std::vector<std::int64_t>{0}));  // before any event runs
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_for(25_ms);
+  EXPECT_EQ(times, (std::vector<std::int64_t>{0, 10000, 20000}));
+}
+
+TEST(PeriodicTaskTest, StartNowStopInsideTheTickHolds) {
+  Simulator sim;
+  int ticks = 0;
+  PeriodicTask task(sim, 10_ms, [&] {
+    ++ticks;
+    task.stop();
+  });
+  task.start_now();
+  EXPECT_FALSE(task.running());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_for(50_ms);
+  EXPECT_EQ(ticks, 1);
+}
+
+TEST(PeriodicTaskTest, StartNowIsRunningDuringTheTick) {
+  Simulator sim;
+  std::vector<bool> seen;
+  PeriodicTask task(sim, 10_ms, [&] { seen.push_back(task.running()); });
+  task.start_now();
+  sim.run_for(10_ms);
+  EXPECT_EQ(seen, (std::vector<bool>{true, true}));
+}
+
+TEST(PeriodicTaskTest, StartNowWhileRunningDoesNothing) {
+  Simulator sim;
+  std::vector<std::int64_t> times;
+  PeriodicTask task(sim, 10_ms, [&] {
+    times.push_back(sim.now().us());
+    task.start_now();  // re-entrant call from the tick: also a no-op
+  });
+  task.start_now();
+  sim.run_for(5_ms);
+  task.start_now();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_for(20_ms);
+  EXPECT_EQ(times, (std::vector<std::int64_t>{0, 10000, 20000}));
+}
+
+TEST(PeriodicTaskTest, StartNowArmsBehindEventsTheTickSchedules) {
+  // A device that ticks in start() and then re-schedules itself queues its
+  // next tick after whatever its first tick scheduled for that instant.
+  Simulator sim;
+  std::vector<char> order;
+  PeriodicTask task(sim, 10_ms, [&] {
+    order.push_back('t');
+    if (order.size() == 1) sim.after(10_ms, [&] { order.push_back('e'); });
+  });
+  task.start_now();
+  sim.run_for(10_ms);
+  EXPECT_EQ(order, (std::vector<char>{'t', 'e', 't'}));
+}
+
 }  // namespace
 }  // namespace bicord::sim

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "coex/scenario.hpp"
 #include "coex/scenario_spec.hpp"
 #include "core/coordination_engine.hpp"
@@ -64,6 +66,17 @@ TEST_F(TschFixture, HopScheduleRetunesEnrolledRadiosInLockstep) {
   EXPECT_EQ(schedule.hops(), 4u);
   EXPECT_EQ(schedule.current_channel(), 21);
   EXPECT_EQ(a.band().center_mhz, phy::zigbee_channel(21).center_mhz);
+}
+
+TEST_F(TschFixture, DestroyingARunningScheduleCancelsItsClock) {
+  phy::Radio a(medium, tx_node, radio_config(24));
+  auto schedule = std::make_unique<TschHopSchedule>(sim);
+  schedule->add_radio(a);
+  schedule->start();
+  sim.run_for(5_ms);
+  const auto pending = sim.pending_events();
+  schedule.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
 }
 
 TEST_F(TschFixture, RetuneTruncatesInProgressReception) {
