@@ -28,12 +28,13 @@
 #             TSAN, then a failover-preset bicordsim run (clock skew + primary
 #             kill/rejoin) whose invariant checker gates the exit code; part
 #             of the default full gate
-#   techs   — third/fourth-technology and fixed-period-device smoke under
+#   techs   — third/fourth-technology and device-lifetime smoke under
 #             ASan/UBSan: the LTE-U + TSCH suite (the TechnologyTraits seam
-#             proof of DESIGN.md Sec. 14), the BLE suite, the interferer and
-#             Bluetooth-field cases and the PeriodicTask cases, so a device
-#             whose timer outlives it fails here; the default gate's full
-#             ASan pass covers them too
+#             proof of DESIGN.md Sec. 14), the BLE, CTC and MAC suites, the
+#             interferer and Bluetooth-field cases and the PeriodicTask and
+#             Timer cases, so a device whose periodic tick or one-shot
+#             deadline outlives it fails here; the default gate's full ASan
+#             pass covers them too
 #   bench   — perf smoke: one fast bench_micro pass asserting the
 #             machine-independent invariants (hot path allocation-free);
 #             absolute-time comparison is opt-in via scripts/bench.sh compare
@@ -130,18 +131,22 @@ fi
 # Techs smoke: the LTE-U and TSCH technologies — the two instantiations
 # that prove the TechnologyTraits seam carries a whole technology without
 # engine surgery — plus every other fixed-period device (BLE links, the
-# microwave oven, Bluetooth fields) and the sim::PeriodicTask they all tick
-# on, under ASan/UBSan: a device destroyed with its tick still queued is a
-# use-after-free here. The golden file pins the lteu and tsch presets'
-# output bitwise.
+# microwave oven, Bluetooth fields), the MACs and CTC links that hold
+# one-shot deadlines, and the sim::PeriodicTask and sim::Timer they run on,
+# under ASan/UBSan: a device destroyed with its tick or deadline still
+# queued is a use-after-free here. The golden file pins the lteu and tsch
+# presets' output bitwise.
 if [ "$MODE" = "techs" ]; then
-  echo "== techs smoke: ASan + UBSan, LTE-U + TSCH + fixed-period devices =="
+  echo "== techs smoke: ASan + UBSan, LTE-U + TSCH + device lifetimes =="
   cmake -B build-asan -S . -DBICORD_SANITIZE=address > /dev/null
-  cmake --build build-asan -j "$JOBS" --target techs_tests ble_tests csi_detect_tests sim_tests
+  cmake --build build-asan -j "$JOBS" \
+    --target techs_tests ble_tests ctc_tests mac_tests csi_detect_tests sim_tests
   ./build-asan/tests/techs_tests
   ./build-asan/tests/ble_tests
+  ./build-asan/tests/ctc_tests
+  ./build-asan/tests/mac_tests
   ./build-asan/tests/csi_detect_tests --gtest_filter='InterfererFixture.*:BluetoothFieldTest.*'
-  ./build-asan/tests/sim_tests --gtest_filter='PeriodicTaskTest.*'
+  ./build-asan/tests/sim_tests --gtest_filter='PeriodicTaskTest.*:TimerTest.*'
 
   echo
   echo "OK: techs smoke green (ASan/UBSan)"

@@ -104,7 +104,7 @@ void BleConnection::judge_packet(phy::NodeId to, int channel, double tx_power_db
   };
   const double i0 = interference();
   const Duration airtime = ble_airtime(config_.payload_bytes);
-  sim_.after(airtime / 2, [this, signal, i0, interference] {
+  judge_.after(airtime / 2, [this, signal, i0, interference] {
     const double worst = std::max(i0, interference());
     const double sinr = signal - worst;
     const double p = 1.0 / (1.0 + std::exp(-(sinr - kSinrThresholdDb) / kSinrWidthDb));
@@ -124,7 +124,7 @@ void BleConnection::connection_event() {
   } else {
     // Master -> slave, then slave -> master after T_IFS.
     const Duration m_air = transmit_packet(master_, slave_, channel);
-    sim_.after(m_air + kIfs, [this, channel] {
+    reply_.after(m_air + kIfs, [this, channel] {
       if (!events_.running()) return;
       transmit_packet(slave_, master_, channel);
     });

@@ -85,6 +85,8 @@ class BleConnection {
   std::array<bool, kDataChannels> map_;
   int channel_ = 0;
   sim::PeriodicTask events_;
+  sim::Timer reply_{sim_};  ///< the slave's reply, T_IFS after the master packet
+  sim::Timer judge_{sim_};  ///< mid-packet judgement of the packet on air
   Stats stats_;
 };
 

@@ -15,14 +15,6 @@ CoordinationEngine::CoordinationEngine(sim::Simulator& sim,
       allocator_(allocator),
       grant_history_(history_capacity) {}
 
-CoordinationEngine::~CoordinationEngine() {
-  disarm_watchdog();
-  if (lease_event_ != sim::kInvalidEventId) {
-    sim_.cancel(lease_event_);
-    lease_event_ = sim::kInvalidEventId;
-  }
-}
-
 bool CoordinationEngine::grant_active() const {
   return traits_.lease_based ? sim_.now() < lease_until_ : grant_outstanding_;
 }
@@ -80,29 +72,18 @@ void CoordinationEngine::on_resume(TimePoint t) {
   if (!grant_active()) return;
   if (resume_filter_ && resume_filter_(t)) return;  // fault injection
   grant_outstanding_ = false;
-  disarm_watchdog();
+  watchdog_.cancel();
   // Sustained silence after resuming marks the end of the requester's burst.
   end_of_burst_check(t);
 }
 
 void CoordinationEngine::arm_watchdog(TimePoint deadline) {
-  disarm_watchdog();
   // Armed as a relative delay through the skew hook: a drifted crystal fires
   // the watchdog early or late. Without a skew hook this is event-for-event
   // identical to scheduling at the absolute deadline.
   const Duration delay =
       deadline > sim_.now() ? deadline - sim_.now() : Duration::zero();
-  watchdog_event_ = sim_.after(skewed(delay), [this] {
-    watchdog_event_ = sim::kInvalidEventId;
-    on_watchdog();
-  });
-}
-
-void CoordinationEngine::disarm_watchdog() {
-  if (watchdog_event_ != sim::kInvalidEventId) {
-    sim_.cancel(watchdog_event_);
-    watchdog_event_ = sim::kInvalidEventId;
-  }
+  watchdog_.after(skewed(delay), [this] { on_watchdog(); });
 }
 
 void CoordinationEngine::on_watchdog() {
@@ -123,16 +104,12 @@ void CoordinationEngine::begin_lease(TimePoint now, Duration lease) {
 }
 
 void CoordinationEngine::arm_lease_expiry() {
-  if (lease_event_ != sim::kInvalidEventId) sim_.cancel(lease_event_);
   // Relative delay through the skew hook: a fast crystal releases the lease
   // before lease_until_, a slow one after — the drift the lease margin in
   // TechnologyTraits has to absorb. No skew hook = same instant as before.
   const Duration delay =
       lease_until_ > sim_.now() ? lease_until_ - sim_.now() : Duration::zero();
-  lease_event_ = sim_.after(skewed(delay), [this] {
-    lease_event_ = sim::kInvalidEventId;
-    on_lease_expired();
-  });
+  lease_expiry_.after(skewed(delay), [this] { on_lease_expired(); });
 }
 
 void CoordinationEngine::on_lease_expired() {
@@ -155,13 +132,6 @@ RequesterEngine::RequesterEngine(RequesterMac& mac, Config config)
       // const split(k): derives a dedicated jitter stream without advancing
       // the parent RNG, so adding it does not perturb any existing stream.
       rng_(mac.medium().simulator().rng().split(0xB1C0FDULL ^ mac.node())) {}
-
-RequesterEngine::~RequesterEngine() {
-  if (backoff_event_ != sim::kInvalidEventId) {
-    sim_.cancel(backoff_event_);
-    backoff_event_ = sim::kInvalidEventId;
-  }
-}
 
 Duration RequesterEngine::jittered(Duration d) {
   if (config_.backoff_jitter > 0.0) {
@@ -216,9 +186,7 @@ void RequesterEngine::reset_streaks() {
 }
 
 void RequesterEngine::schedule_backoff(Duration d) {
-  if (backoff_event_ != sim::kInvalidEventId) sim_.cancel(backoff_event_);
-  backoff_event_ = sim_.after(jittered(d), [this] {
-    backoff_event_ = sim::kInvalidEventId;
+  backoff_.after(jittered(d), [this] {
     if (backoff_resume_) backoff_resume_();
   });
 }

@@ -58,7 +58,6 @@ class CoordinationEngine {
 
   CoordinationEngine(sim::Simulator& sim, const TechnologyTraits& traits,
                      AllocatorParams allocator, std::size_t history_capacity);
-  ~CoordinationEngine();
 
   CoordinationEngine(const CoordinationEngine&) = delete;
   CoordinationEngine& operator=(const CoordinationEngine&) = delete;
@@ -118,7 +117,6 @@ class CoordinationEngine {
   [[nodiscard]] std::uint64_t watchdog_recoveries() const { return watchdog_recoveries_; }
 
  private:
-  void disarm_watchdog();
   void on_watchdog();
   void on_lease_expired();
   /// Sustained silence after `resume_time` marks the end of the requester's
@@ -144,8 +142,8 @@ class CoordinationEngine {
   TimePoint lease_until_;           ///< clock-bounded leases only
   TimePoint grant_started_;
   TimePoint last_request_;
-  sim::EventId watchdog_event_ = sim::kInvalidEventId;
-  sim::EventId lease_event_ = sim::kInvalidEventId;
+  sim::Timer watchdog_{sim_};
+  sim::Timer lease_expiry_{sim_};
 
   std::uint64_t requests_ = 0;
   std::uint64_t grants_ = 0;
@@ -179,7 +177,6 @@ class RequesterEngine {
   /// `mac` is the requester-side port; the owning agent keeps it alive for
   /// the engine's whole lifetime.
   RequesterEngine(RequesterMac& mac, Config config);
-  ~RequesterEngine();
 
   RequesterEngine(const RequesterEngine&) = delete;
   RequesterEngine& operator=(const RequesterEngine&) = delete;
@@ -234,7 +231,7 @@ class RequesterEngine {
   int controls_this_round_ = 0;
   int consecutive_ignored_ = 0;  ///< capped; exponent of the backoff
   int ignored_streak_ = 0;       ///< uncapped; drives the give-up bound
-  sim::EventId backoff_event_ = sim::kInvalidEventId;
+  sim::Timer backoff_{sim_};
 
   std::uint64_t control_packets_ = 0;
   std::uint64_t signaling_rounds_ = 0;

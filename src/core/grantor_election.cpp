@@ -14,8 +14,6 @@ GrantorElection::GrantorElection(sim::Simulator& sim, Duration grace,
       handoff_margin_(handoff_margin),
       grant_log_capacity_(grant_log_capacity) {}
 
-GrantorElection::~GrantorElection() { cancel_takeover_timer(); }
-
 GrantorElection::MemberId GrantorElection::add_member(phy::NodeId node,
                                                       double metric_dbm,
                                                       TakeoverHook hook,
@@ -43,12 +41,9 @@ void GrantorElection::on_request_observed(MemberId m, TimePoint t) {
   ++requests_observed_;
   if (t < covered_until_) return;             // absorbed by a running protection
   if (any_grant_ && last_grant_at_ >= t) return;  // already answered
-  if (takeover_event_ != sim::kInvalidEventId) return;  // grace clock running
+  if (takeover_timer_.armed()) return;  // grace clock running
   pending_request_ = t;
-  takeover_event_ = sim_.after(grace_, [this] {
-    takeover_event_ = sim::kInvalidEventId;
-    on_takeover_timer();
-  });
+  takeover_timer_.after(grace_, [this] { on_takeover_timer(); });
 }
 
 void GrantorElection::on_grant_issued(MemberId m, TimePoint t, Duration protection) {
@@ -67,7 +62,7 @@ void GrantorElection::on_grant_issued(MemberId m, TimePoint t, Duration protecti
       h.first_grant = t;
     }
   }
-  cancel_takeover_timer();  // the pending request (if any) is being served
+  takeover_timer_.cancel();  // the pending request (if any) is being served
 }
 
 void GrantorElection::on_grant_shadowed(MemberId m, TimePoint t, Duration protection) {
@@ -77,7 +72,7 @@ void GrantorElection::on_grant_shadowed(MemberId m, TimePoint t, Duration protec
   if (until > covered_until_) covered_until_ = until;
   if (!any_grant_ || t > last_grant_at_) last_grant_at_ = t;
   any_grant_ = true;
-  cancel_takeover_timer();  // the overheard CTS answers the pending request
+  takeover_timer_.cancel();  // the overheard CTS answers the pending request
 }
 
 void GrantorElection::on_takeover_timer() {
@@ -117,12 +112,6 @@ void GrantorElection::on_takeover_timer() {
                                  << grace_ << " of silence");
   const TakeoverHook& hook = members_[primary_].hook;
   if (hook) hook(sim_.now());  // replay the unanswered request
-}
-
-void GrantorElection::cancel_takeover_timer() {
-  if (takeover_event_ == sim::kInvalidEventId) return;
-  sim_.cancel(takeover_event_);
-  takeover_event_ = sim::kInvalidEventId;
 }
 
 std::optional<Duration> GrantorElection::max_handoff_gap() const {

@@ -75,7 +75,6 @@ class GrantorElection {
   /// pads the enforced handoff bound (grace + margin).
   GrantorElection(sim::Simulator& sim, Duration grace, Duration handoff_margin,
                   std::size_t grant_log_capacity = 256);
-  ~GrantorElection();
 
   GrantorElection(const GrantorElection&) = delete;
   GrantorElection& operator=(const GrantorElection&) = delete;
@@ -141,7 +140,6 @@ class GrantorElection {
   }
 
   void recompute_ranking();
-  void cancel_takeover_timer();
   void on_takeover_timer();
 
   sim::Simulator& sim_;
@@ -158,7 +156,7 @@ class GrantorElection {
   bool any_grant_ = false;
 
   TimePoint pending_request_;
-  sim::EventId takeover_event_ = sim::kInvalidEventId;
+  sim::Timer takeover_timer_{sim_};
 
   std::deque<GrantRecord> grant_log_;
   std::uint64_t grant_log_base_ = 0;

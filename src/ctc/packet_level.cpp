@@ -1,7 +1,5 @@
 #include "ctc/packet_level.hpp"
 
-#include <memory>
-
 namespace bicord::ctc {
 
 namespace {
@@ -47,7 +45,6 @@ void ZigfiCtcLink::start_attempt() {
   --attempts_left_;
   ++attempts_used_;
   bits_ = frame_bits(message_);
-  bit_index_ = 0;
   window_origin_ = sim_.now();
   window_high_.assign(bits_.size(), 0);
   window_total_.assign(bits_.size(), 0);
@@ -60,7 +57,6 @@ void ZigfiCtcLink::send_window(std::size_t index) {
     sim_.after(2_ms, [this] { decode(); });
     return;
   }
-  bit_index_ = index;
   ++windows_tx_;
   if (bits_[index] == 0) {
     // Silence for one window.
@@ -68,34 +64,27 @@ void ZigfiCtcLink::send_window(std::size_t index) {
     return;
   }
   // A '1' window: fill it with back-to-back packets (presence modulation).
-  // The chain function holds only a weak reference to itself; shared
-  // ownership rides in the in-flight completion/timer captures, so the
-  // last pending hop releases the function instead of leaving a
-  // shared_ptr cycle behind (LeakSanitizer flagged the self-capture).
-  auto send_chain = std::make_shared<std::function<void(int)>>();
-  const TimePoint window_end = sim_.now() + config_.window;
-  std::weak_ptr<std::function<void(int)>> weak_chain = send_chain;
-  *send_chain = [this, weak_chain, index, window_end](int remaining) {
-    const Duration airtime =
-        sender_.config().timings.data_airtime(config_.packet_bytes);
-    if (remaining == 0 || sim_.now() + airtime > window_end) {
-      const Duration left = window_end - sim_.now();
-      sim_.after(left > Duration::zero() ? left : Duration::zero(),
-                 [this, index] { send_window(index + 1); });
-      return;
-    }
-    zigbee::ZigbeeMac::SendRequest req;
-    req.dst = phy::kBroadcastNode;
-    req.payload_bytes = config_.packet_bytes;
-    req.kind = phy::FrameKind::Control;
-    req.power_dbm_override = config_.tx_power_dbm;
-    // We are being invoked through the function, so the lock cannot fail.
-    auto self = weak_chain.lock();
-    sender_.send_raw(req, [this, self, remaining] {
-      sim_.after(300_us, [self, remaining] { (*self)(remaining - 1); });
+  fill_window(index, sim_.now() + config_.window, kPacketsPerOneWindow);
+}
+
+void ZigfiCtcLink::fill_window(std::size_t index, TimePoint window_end, int remaining) {
+  const Duration airtime = sender_.config().timings.data_airtime(config_.packet_bytes);
+  if (remaining == 0 || sim_.now() + airtime > window_end) {
+    const Duration left = window_end - sim_.now();
+    sim_.after(left > Duration::zero() ? left : Duration::zero(),
+               [this, index] { send_window(index + 1); });
+    return;
+  }
+  zigbee::ZigbeeMac::SendRequest req;
+  req.dst = phy::kBroadcastNode;
+  req.payload_bytes = config_.packet_bytes;
+  req.kind = phy::FrameKind::Control;
+  req.power_dbm_override = config_.tx_power_dbm;
+  sender_.send_raw(req, [this, index, window_end, remaining] {
+    sim_.after(300_us, [this, index, window_end, remaining] {
+      fill_window(index, window_end, remaining - 1);
     });
-  };
-  (*send_chain)(kPacketsPerOneWindow);
+  });
 }
 
 void ZigfiCtcLink::decode() {
@@ -170,8 +159,7 @@ void FreeBeeCtcLink::beacon_tick() {
   // number of shift units (the exact symbol value does not matter for the
   // latency analysis; the shift keeps the schedule paper-faithful).
   const Duration shift = config_.shift_unit * rng_.uniform_int(0, 3);
-  event_ = sim_.after(config_.beacon_interval + shift, [this] {
-    event_ = sim::kInvalidEventId;
+  beacon_.after(config_.beacon_interval + shift, [this] {
     if (!sending_) return;
     ++beacons_;
 

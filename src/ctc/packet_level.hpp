@@ -79,7 +79,9 @@ class ZigfiCtcLink {
  private:
   void start_attempt();
   void send_window(std::size_t index);
-  void finish_window();
+  /// Sends up to `remaining` more packets back to back inside window
+  /// `index`, which ends at `window_end`, then moves on to the next window.
+  void fill_window(std::size_t index, TimePoint window_end, int remaining);
   [[nodiscard]] std::vector<int> frame_bits(std::uint8_t message) const;
   void decode();
 
@@ -94,7 +96,6 @@ class ZigfiCtcLink {
   std::uint8_t message_ = 0;
   int attempts_left_ = 0;
   std::vector<int> bits_;
-  std::size_t bit_index_ = 0;
   TimePoint message_start_;
 
   // Receiver state: per-window high-sample counts.
@@ -163,7 +164,7 @@ class FreeBeeCtcLink final : public phy::MediumListener {
   int wifi_overlaps_ = 0;
   int symbols_received_ = 0;
   TimePoint message_start_;
-  sim::EventId event_ = sim::kInvalidEventId;
+  sim::Timer beacon_{sim_};
 
   MessageCallback callback_;
   std::uint64_t beacons_ = 0;

@@ -34,32 +34,28 @@ EventId EventQueue::enqueue(TimePoint when, Duration period, EventCallback&& cb)
   return encode(idx, s.generation);
 }
 
-bool EventQueue::set_period(EventId id, Duration period) {
-  if (period <= Duration::zero()) {
-    throw std::invalid_argument("EventQueue::set_period: period must be positive");
-  }
+EventQueue::Slot* EventQueue::find(EventId id) const {
   const std::uint64_t raw = (id >> 32);
-  if (raw == 0 || raw > slots_.size()) return false;
-  Slot& s = slots_[static_cast<std::uint32_t>(raw - 1)];
-  if (s.generation != static_cast<std::uint32_t>(id)) return false;
-  if (s.state != SlotState::Queued && s.state != SlotState::Executing) return false;
-  if (s.period <= Duration::zero()) return false;  // one-shot
-  s.period = period;
-  return true;
+  if (raw == 0 || raw > slots_.size()) return nullptr;
+  Slot& s = slots_[static_cast<std::size_t>(raw - 1)];
+  return s.generation == static_cast<std::uint32_t>(id) ? &s : nullptr;
+}
+
+bool EventQueue::pending(EventId id) const {
+  const Slot* s = find(id);
+  return s != nullptr &&
+         (s->state == SlotState::Queued || s->state == SlotState::Executing);
 }
 
 bool EventQueue::cancel(EventId id) {
-  const std::uint64_t raw = (id >> 32);
-  if (raw == 0 || raw > slots_.size()) return false;
-  const auto idx = static_cast<std::uint32_t>(raw - 1);
-  Slot& s = slots_[idx];
-  if (s.generation != static_cast<std::uint32_t>(id)) return false;
-  switch (s.state) {
+  Slot* s = find(id);
+  if (s == nullptr) return false;
+  switch (s->state) {
     case SlotState::Queued:
       // Lazy deletion: the heap entry stays until pop or compaction, but the
       // callback dies now so captured resources are released eagerly.
-      s.callback.reset();
-      s.state = SlotState::Dead;
+      s->callback.reset();
+      s->state = SlotState::Dead;
       --live_;
       ++dead_;
       maybe_compact();
@@ -69,7 +65,7 @@ bool EventQueue::cancel(EventId id) {
       // callback is running right now, so destruction is deferred to the
       // trampoline (run_periodic) once the tick returns. It stops being
       // live now — it will never fire again.
-      s.state = SlotState::ExecCancelled;
+      s->state = SlotState::ExecCancelled;
       --live_;
       return true;
     default:

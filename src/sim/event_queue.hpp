@@ -50,14 +50,15 @@ class EventQueue {
   /// callback). Requires period > 0.
   EventId schedule_periodic(TimePoint first, Duration period, EventCallback cb);
 
-  /// Changes a periodic event's period; takes effect at the next re-arm (the
-  /// already-armed firing keeps its time). False if `id` is not a live
-  /// periodic event.
-  bool set_period(EventId id, Duration period);
-
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or the id is invalid.
   bool cancel(EventId id);
+
+  /// True while `id` can still fire: queued, or a periodic event whose tick
+  /// is running and has not cancelled itself. False once a one-shot has been
+  /// popped (also inside its own callback), after cancel(), and for an
+  /// invalid id.
+  [[nodiscard]] bool pending(EventId id) const;
 
   /// empty()/size() count every event that can still fire, including a
   /// periodic event whose tick is currently executing (it re-arms when the
@@ -139,6 +140,9 @@ class EventQueue {
   [[nodiscard]] static EventId encode(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) + 1) << 32 | gen;
   }
+  /// The slot `id` names if its generation still matches, else nullptr (an
+  /// invalid id, or one whose event fired or was cancelled and freed).
+  [[nodiscard]] Slot* find(EventId id) const;
 
   [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
     // The equality test branch is almost always false (distinct times), so it

@@ -25,10 +25,6 @@ EventId Simulator::every(Duration initial_delay, Duration period, EventCallback 
   return queue_.schedule_periodic(now_ + initial_delay, period, std::move(cb));
 }
 
-bool Simulator::set_event_period(EventId id, Duration period) {
-  return queue_.set_period(id, period);
-}
-
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 void Simulator::run_until(TimePoint deadline) {
@@ -60,7 +56,7 @@ bool Simulator::step() {
 namespace {
 /// `event_` while start_now()'s inline tick runs, so running() reads true.
 /// No real id equals it (an EventQueue id carries its slot + 1 in the high
-/// word), so cancel() and set_event_period() reject it as invalid.
+/// word), so cancel() rejects it as invalid.
 constexpr EventId kInlineTick = 1;
 }  // namespace
 
@@ -94,16 +90,6 @@ void PeriodicTask::stop() {
     sim_.cancel(event_);
     event_ = kInvalidEventId;
   }
-}
-
-void PeriodicTask::set_period(Duration period) {
-  if (period <= Duration::zero()) {
-    throw std::invalid_argument("PeriodicTask::set_period: period must be positive");
-  }
-  period_ = period;
-  // The already-armed tick keeps its time; the new period applies from the
-  // next re-arm (same semantics as the old self-rescheduling chain).
-  if (event_ != kInvalidEventId) sim_.set_event_period(event_, period_);
 }
 
 void PeriodicTask::arm(Duration delay) {

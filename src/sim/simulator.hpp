@@ -5,9 +5,17 @@
 // backoff expiry, white-space deadlines, traffic arrivals — schedules a
 // callback here. The simulator advances the clock to each event in timestamp
 // order; there is no real time anywhere in the library.
+//
+// Code that owns a callback on `this` does not keep raw EventIds: a device
+// that fires at a fixed period holds a PeriodicTask, and a one-shot deadline
+// that is re-armed, cancelled or tested (an ACK wait, a backoff, a lease
+// expiry, a watchdog) holds a Timer. Both cancel their firing when destroyed.
+// A plain after() stays right for fire-and-forget callbacks that may have
+// several firings pending at once.
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
@@ -37,11 +45,11 @@ class Simulator {
   /// *after* each tick returns, so same-instant events the tick scheduled
   /// fire first.
   EventId every(Duration initial_delay, Duration period, EventCallback cb);
-  /// Changes a periodic event's period, effective at the next re-arm.
-  bool set_event_period(EventId id, Duration period);
   /// Cancels a pending event; false if it already fired or was cancelled.
   /// Cancelling a periodic event works from inside its own tick, too.
   bool cancel(EventId id);
+  /// True while `id` can still fire (see EventQueue::pending).
+  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
 
   /// Runs events until the queue empties or the clock would pass `deadline`.
   /// The clock is left at min(deadline, time of last event).
@@ -92,7 +100,6 @@ class PeriodicTask {
   void start_now();
   void stop();
   [[nodiscard]] bool running() const { return event_ != kInvalidEventId; }
-  void set_period(Duration period);
   [[nodiscard]] Duration period() const { return period_; }
 
  private:
@@ -102,6 +109,57 @@ class PeriodicTask {
   Duration period_;
   std::function<void()> tick_;
   EventId event_ = kInvalidEventId;
+};
+
+/// A handle on at most one pending one-shot: the one timer for deadlines
+/// (ACK and backoff waits, white-space lease expiry, watchdogs, grace
+/// clocks). Arming replaces a pending firing by cancelling it and then
+/// scheduling the new one, the same two queue calls in the same order as a
+/// hand-written cancel-and-reschedule, so sequence numbers and same-instant
+/// order do not move. Destroying the timer cancels its firing. The callable
+/// goes to Simulator::at as given, so it stays inside InlineCallback's buffer
+/// and is built in place there, as a direct at() call would build it.
+class Timer {
+ public:
+  explicit Timer(Simulator& sim) : sim_(sim) {}
+  ~Timer() { cancel(); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Fires `cb` at `when` (must be >= now()) instead of any pending firing.
+  template <typename F>
+  void at(TimePoint when, F&& cb) {
+    cancel();
+    id_ = sim_.at(when, std::forward<F>(cb));
+    deadline_ = when;
+  }
+  /// Fires `cb` after `delay` (must be >= 0) instead of any pending firing.
+  template <typename F>
+  void after(Duration delay, F&& cb) {
+    at(sim_.now() + delay, std::forward<F>(cb));
+  }
+  void cancel() {
+    if (armed()) sim_.cancel(id_);
+    id_ = kInvalidEventId;
+  }
+
+  /// True from arming until the firing starts (so false inside its own
+  /// callback) or until cancel(). A firing due later is pending, since only
+  /// cancel() removes it early; one due now may already have been popped,
+  /// so only then is the queue asked.
+  [[nodiscard]] bool armed() const {
+    if (id_ == kInvalidEventId) return false;
+    if (deadline_ != sim_.now()) return deadline_ > sim_.now();
+    return sim_.pending(id_);
+  }
+  /// When the last arming fires (meaningful while armed()).
+  [[nodiscard]] TimePoint deadline() const { return deadline_; }
+
+ private:
+  Simulator& sim_;
+  EventId id_ = kInvalidEventId;
+  TimePoint deadline_;
 };
 
 }  // namespace bicord::sim

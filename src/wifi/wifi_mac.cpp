@@ -60,13 +60,8 @@ void WifiMac::pause_for(Duration d) {
   const TimePoint until = sim_.now() + d;
   if (until <= pause_until_) return;
   pause_until_ = until;
-  if (access_timer_ != sim::kInvalidEventId) {
-    sim_.cancel(access_timer_);
-    access_timer_ = sim::kInvalidEventId;
-  }
-  if (pause_timer_ != sim::kInvalidEventId) sim_.cancel(pause_timer_);
-  pause_timer_ = sim_.at(pause_until_, [this] {
-    pause_timer_ = sim::kInvalidEventId;
+  access_timer_.cancel();
+  pause_timer_.at(pause_until_, [this] {
     const TimePoint ended = sim_.now();
     reevaluate();
     if (pause_end_cb_) pause_end_cb_(ended);
@@ -111,12 +106,12 @@ void WifiMac::reevaluate() {
 
   const bool busy = channel_busy();
   if (busy) {
-    if (access_timer_ != sim::kInvalidEventId) {
+    if (access_timer_.armed()) {
       // Freeze: credit fully elapsed idle backoff slots.
       const Duration ifs = current_->req.kind == FrameKind::Data
                                ? config_.timings.difs()
                                : config_.timings.pifs();
-      const Duration armed_for = access_timer_deadline_ - sim_.now();
+      const Duration armed_for = access_timer_.deadline() - sim_.now();
       const Duration total = ifs + current_->backoff_slots * config_.timings.slot;
       const Duration elapsed = total - armed_for;
       if (elapsed > ifs) {
@@ -124,17 +119,13 @@ void WifiMac::reevaluate() {
             static_cast<int>((elapsed - ifs) / config_.timings.slot);
         current_->backoff_slots = std::max(0, current_->backoff_slots - consumed);
       }
-      sim_.cancel(access_timer_);
-      access_timer_ = sim::kInvalidEventId;
+      access_timer_.cancel();
     }
     // The radio keeps sensing: with a noisy ED measurement a borderline
     // channel can read busy now and idle shortly after, so re-check on a
     // short timer rather than waiting for the next medium edge only.
-    if (config_.cca_noise_sigma_db > 0.0 && recheck_timer_ == sim::kInvalidEventId) {
-      recheck_timer_ = sim_.after(Duration::from_us(300), [this] {
-        recheck_timer_ = sim::kInvalidEventId;
-        reevaluate();
-      });
+    if (config_.cca_noise_sigma_db > 0.0 && !recheck_timer_.armed()) {
+      recheck_timer_.after(Duration::from_us(300), [this] { reevaluate(); });
     }
     return;
   }
@@ -142,25 +133,16 @@ void WifiMac::reevaluate() {
   const TimePoint gate = earliest_access_time();
   if (gate > sim_.now()) {
     // Waiting out a pause or NAV; a timer for the gate is (re)armed lazily.
-    if (gate_timer_ == sim::kInvalidEventId) {
-      gate_timer_ = sim_.at(gate, [this] {
-        gate_timer_ = sim::kInvalidEventId;
-        reevaluate();
-      });
-    }
+    if (!gate_timer_.armed()) gate_timer_.at(gate, [this] { reevaluate(); });
     return;
   }
 
-  if (access_timer_ != sim::kInvalidEventId) return;  // already counting down
+  if (access_timer_.armed()) return;  // already counting down
 
   const Duration ifs = current_->req.kind == FrameKind::Data ? config_.timings.difs()
                                                              : config_.timings.pifs();
   const Duration wait = ifs + current_->backoff_slots * config_.timings.slot;
-  access_timer_deadline_ = sim_.now() + wait;
-  access_timer_ = sim_.at(access_timer_deadline_, [this] {
-    access_timer_ = sim::kInvalidEventId;
-    access_timer_fired();
-  });
+  access_timer_.after(wait, [this] { access_timer_fired(); });
 }
 
 void WifiMac::access_timer_fired() {
@@ -217,10 +199,7 @@ void WifiMac::on_tx_complete() {
   awaiting_ack_ = true;
   const Duration timeout = config_.timings.sifs + config_.timings.ack_airtime() +
                            Duration::from_us(30);
-  ack_timer_ = sim_.after(timeout, [this] {
-    ack_timer_ = sim::kInvalidEventId;
-    ack_timeout_fired();
-  });
+  ack_timer_.after(timeout, [this] { ack_timeout_fired(); });
 }
 
 void WifiMac::ack_timeout_fired() {
@@ -242,10 +221,7 @@ void WifiMac::handle_rx(const RxResult& rx) {
 
   if (f.kind == FrameKind::Ack && f.dst == node_) {
     if (awaiting_ack_ && current_ && f.seq == current_->seq) {
-      if (ack_timer_ != sim::kInvalidEventId) {
-        sim_.cancel(ack_timer_);
-        ack_timer_ = sim::kInvalidEventId;
-      }
+      ack_timer_.cancel();
       awaiting_ack_ = false;
       finish_attempt(true);
     }
@@ -261,10 +237,7 @@ void WifiMac::handle_rx(const RxResult& rx) {
     const TimePoint until = sim_.now() + f.nav;
     if (until > nav_until_) {
       nav_until_ = until;
-      if (access_timer_ != sim::kInvalidEventId) {
-        sim_.cancel(access_timer_);
-        access_timer_ = sim::kInvalidEventId;
-      }
+      access_timer_.cancel();
       reevaluate();
     }
   }

@@ -148,12 +148,11 @@ class WifiMac {
   std::optional<Attempt> current_;
   bool awaiting_ack_ = false;
   bool transmitting_ = false;
-  sim::EventId access_timer_ = sim::kInvalidEventId;
-  TimePoint access_timer_deadline_;
-  sim::EventId ack_timer_ = sim::kInvalidEventId;
-  sim::EventId gate_timer_ = sim::kInvalidEventId;
-  sim::EventId pause_timer_ = sim::kInvalidEventId;
-  sim::EventId recheck_timer_ = sim::kInvalidEventId;
+  sim::Timer access_timer_{sim_};
+  sim::Timer ack_timer_{sim_};
+  sim::Timer gate_timer_{sim_};
+  sim::Timer pause_timer_{sim_};
+  sim::Timer recheck_timer_{sim_};
 
   TimePoint pause_until_;
   TimePoint nav_until_;

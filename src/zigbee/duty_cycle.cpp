@@ -3,12 +3,8 @@
 namespace bicord::zigbee {
 
 DutyCycler::DutyCycler(ZigbeeMac& mac, Config config)
-    : mac_(mac), sim_(mac.simulator()), config_(config) {
+    : mac_(mac), config_(config), timer_(mac.simulator()) {
   arm();
-}
-
-DutyCycler::~DutyCycler() {
-  if (timer_ != sim::kInvalidEventId) sim_.cancel(timer_);
 }
 
 bool DutyCycler::sleeping() const {
@@ -22,13 +18,7 @@ void DutyCycler::wake() {
 
 void DutyCycler::activity() { arm(); }
 
-void DutyCycler::arm() {
-  if (timer_ != sim::kInvalidEventId) sim_.cancel(timer_);
-  timer_ = sim_.after(config_.idle_timeout, [this] {
-    timer_ = sim::kInvalidEventId;
-    maybe_sleep();
-  });
-}
+void DutyCycler::arm() { timer_.after(config_.idle_timeout, [this] { maybe_sleep(); }); }
 
 void DutyCycler::maybe_sleep() {
   auto& radio = mac_.radio();

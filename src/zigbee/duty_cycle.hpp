@@ -26,7 +26,6 @@ class DutyCycler {
 
   explicit DutyCycler(ZigbeeMac& mac) : DutyCycler(mac, Config{}) {}
   DutyCycler(ZigbeeMac& mac, Config config);
-  ~DutyCycler();
 
   DutyCycler(const DutyCycler&) = delete;
   DutyCycler& operator=(const DutyCycler&) = delete;
@@ -48,10 +47,9 @@ class DutyCycler {
   void maybe_sleep();
 
   ZigbeeMac& mac_;
-  sim::Simulator& sim_;
   Config config_;
   std::function<bool()> busy_hook_;
-  sim::EventId timer_ = sim::kInvalidEventId;
+  sim::Timer timer_;
   std::uint64_t sleeps_ = 0;
 };
 

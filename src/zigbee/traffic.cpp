@@ -3,27 +3,16 @@
 namespace bicord::zigbee {
 
 BurstSource::BurstSource(sim::Simulator& sim, Config config)
-    : sim_(sim), config_(config), rng_(sim.rng().split()) {}
+    : config_(config), rng_(sim.rng().split()), next_burst_(sim) {}
 
-void BurstSource::start() {
-  stop();
-  arm();
-}
+void BurstSource::start() { arm(); }
 
-void BurstSource::stop() {
-  if (event_ != sim::kInvalidEventId) {
-    sim_.cancel(event_);
-    event_ = sim::kInvalidEventId;
-  }
-}
+void BurstSource::stop() { next_burst_.cancel(); }
 
 void BurstSource::arm() {
   const Duration wait = config_.poisson ? rng_.exp_duration(config_.mean_interval)
                                         : config_.mean_interval;
-  event_ = sim_.after(wait, [this] {
-    event_ = sim::kInvalidEventId;
-    fire();
-  });
+  next_burst_.after(wait, [this] { fire(); });
 }
 
 void BurstSource::fire() {

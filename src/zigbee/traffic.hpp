@@ -35,7 +35,7 @@ class BurstSource {
   void set_burst_callback(BurstCallback cb) { callback_ = std::move(cb); }
   void start();
   void stop();
-  [[nodiscard]] bool running() const { return event_ != sim::kInvalidEventId; }
+  [[nodiscard]] bool running() const { return next_burst_.armed(); }
   [[nodiscard]] std::uint64_t bursts_generated() const { return bursts_; }
   [[nodiscard]] const Config& config() const { return config_; }
   /// Takes effect from the next scheduled burst.
@@ -45,11 +45,10 @@ class BurstSource {
   void arm();
   void fire();
 
-  sim::Simulator& sim_;
   Config config_;
   Rng rng_;
   BurstCallback callback_;
-  sim::EventId event_ = sim::kInvalidEventId;
+  sim::Timer next_burst_;
   std::uint64_t bursts_ = 0;
 };
 

@@ -79,10 +79,7 @@ void ZigbeeMac::start_csma() {
   const auto slots = sim_.rng().uniform_int(0, max_delay);
   const Duration wait = config_.timings.backoff_period * slots +
                         config_.timings.cca_duration;
-  backoff_timer_ = sim_.after(wait, [this] {
-    backoff_timer_ = sim::kInvalidEventId;
-    backoff_expired();
-  });
+  backoff_timer_.after(wait, [this] { backoff_expired(); });
 }
 
 void ZigbeeMac::backoff_expired() {
@@ -98,7 +95,7 @@ void ZigbeeMac::backoff_expired() {
     return;
   }
   // Rx->Tx turnaround, then transmit.
-  sim_.after(config_.timings.turnaround, [this] {
+  backoff_timer_.after(config_.timings.turnaround, [this] {
     if (!current_) return;
     if (channel_busy() || radio_.transmitting()) {
       // Preempted during turnaround (the ZigBee/Wi-Fi race the paper
@@ -145,11 +142,8 @@ void ZigbeeMac::on_tx_complete() {
     return;
   }
   awaiting_ack_ = true;
-  ack_timer_ = sim_.after(config_.timings.ack_wait + config_.timings.ack_airtime(),
-                          [this] {
-                            ack_timer_ = sim::kInvalidEventId;
-                            ack_timeout_fired();
-                          });
+  ack_timer_.after(config_.timings.ack_wait + config_.timings.ack_airtime(),
+                   [this] { ack_timeout_fired(); });
 }
 
 void ZigbeeMac::ack_timeout_fired() {
@@ -172,10 +166,7 @@ void ZigbeeMac::handle_rx(const RxResult& rx) {
 
   if (f.kind == FrameKind::Ack && f.dst == node_) {
     if (awaiting_ack_ && current_ && f.seq == current_->seq) {
-      if (ack_timer_ != sim::kInvalidEventId) {
-        sim_.cancel(ack_timer_);
-        ack_timer_ = sim::kInvalidEventId;
-      }
+      ack_timer_.cancel();
       awaiting_ack_ = false;
       finish_attempt(true, false);
     }

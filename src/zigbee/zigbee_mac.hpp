@@ -122,8 +122,8 @@ class ZigbeeMac {
   std::optional<Attempt> current_;
   bool awaiting_ack_ = false;
   bool transmitting_ = false;
-  sim::EventId backoff_timer_ = sim::kInvalidEventId;
-  sim::EventId ack_timer_ = sim::kInvalidEventId;
+  sim::Timer backoff_timer_{sim_};  ///< CSMA backoff, then the Rx->Tx turnaround
+  sim::Timer ack_timer_{sim_};
   std::uint64_t next_seq_ = 1;
 
   SentCallback sent_cb_;

@@ -113,6 +113,19 @@ TEST_F(BleFixture, DestroyingARunningLinkCancelsItsEvents) {
   EXPECT_EQ(sim.pending_events(), pending - 1);
 }
 
+TEST_F(BleFixture, DestroyingALinkInsideAnEventCancelsItsPackets) {
+  auto link = std::make_unique<BleConnection>(medium, master, slave,
+                                              BleConnection::Config{});
+  const auto before = sim.pending_events();
+  link->start();
+  // The next connection event, the master packet's mid-packet judgement, the
+  // slave's reply and the medium's end of the master packet.
+  EXPECT_EQ(sim.pending_events(), before + 4);
+  link.reset();
+  EXPECT_EQ(sim.pending_events(), before + 1);  // the medium's end event only
+  sim.run_for(10_ms);
+}
+
 /// Stops the link from inside its first packet's start edge, i.e. during the
 /// link's own connection event.
 struct StopOnFirstPacket final : phy::MediumListener {

@@ -120,5 +120,14 @@ TEST_F(CtcFixture, FreeBeeRejectsConcurrentSend) {
   EXPECT_THROW(link.send(), std::logic_error);
 }
 
+TEST_F(CtcFixture, FreeBeeDestroyedMidMessageCancelsItsBeacon) {
+  auto link = std::make_unique<FreeBeeCtcLink>(*zigbee, *receiver);
+  link->send();
+  const auto pending = sim.pending_events();
+  link.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+  sim.run_for(1_sec);  // a beacon left queued would run on the freed link
+}
+
 }  // namespace
 }  // namespace bicord::ctc

@@ -52,6 +52,14 @@ TEST_F(WifiMacFixture, UnicastDataIsAcked) {
   EXPECT_EQ(mac_a->dropped(), 0u);
 }
 
+TEST_F(WifiMacFixture, DestroyedWhileContendingCancelsItsAccessTimer) {
+  mac_a->enqueue({node_b, 500, FrameKind::Data, Duration::zero(), 0});
+  const auto pending = sim.pending_events();  // the DIFS + backoff wait
+  mac_a.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+  sim.run_for(10_ms);
+}
+
 TEST_F(WifiMacFixture, BroadcastNeedsNoAck) {
   bool sent = false;
   mac_a->set_sent_callback([&](const WifiMac::SendOutcome& o) {

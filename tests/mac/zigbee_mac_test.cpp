@@ -65,6 +65,14 @@ TEST_F(ZigbeeMacFixture, CleanChannelDelivery) {
   EXPECT_EQ(outcomes[0].retries, 0);
 }
 
+TEST_F(ZigbeeMacFixture, DestroyedInBackoffCancelsItsTimer) {
+  mac_a->enqueue({node_b, 50, FrameKind::Data, ZigbeeMac::kNoOverride, 0});
+  const auto pending = sim.pending_events();  // the CSMA backoff
+  mac_a.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+  sim.run_for(20_ms);
+}
+
 TEST_F(ZigbeeMacFixture, FiftyBytePacketCycleIsAboutFiveMs) {
   // The paper's arithmetic: data (2.14 ms) + turnaround + ACK + CSMA.
   std::vector<ZigbeeMac::SendOutcome> outcomes;
@@ -173,6 +181,19 @@ TEST_F(ZigbeeMacFixture, BurstSourceStatistics) {
   src.stop();
   sim.run_for(200_ms);
   EXPECT_EQ(bursts, 10);
+}
+
+TEST_F(ZigbeeMacFixture, BurstSourceDestroyedWhileArmedCancelsItsBurst) {
+  auto src = std::make_unique<BurstSource>(sim, BurstSource::Config{});
+  int bursts = 0;
+  src->set_burst_callback([&](int, std::uint32_t) { ++bursts; });
+  src->start();
+  EXPECT_TRUE(src->running());
+  const auto pending = sim.pending_events();
+  src.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 1);
+  sim.run_for(1_sec);
+  EXPECT_EQ(bursts, 0);
 }
 
 TEST_F(ZigbeeMacFixture, PoissonBurstIntervalsHaveRightMean) {

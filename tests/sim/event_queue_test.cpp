@@ -73,6 +73,34 @@ TEST(EventQueueTest, CancelInvalidId) {
   EXPECT_FALSE(q.cancel(999));
 }
 
+TEST(EventQueueTest, PendingFollowsOneIdThroughPopAndSlotReuse) {
+  EventQueue q;
+  const EventId fired = q.schedule(at_us(1), [] {});
+  EXPECT_TRUE(q.pending(fired));
+  q.pop();
+  EXPECT_FALSE(q.pending(fired));
+  const EventId reused = q.schedule(at_us(2), [] {});  // takes the freed slot
+  EXPECT_FALSE(q.pending(fired));
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_TRUE(q.pending(reused));
+  EXPECT_TRUE(q.cancel(reused));
+  EXPECT_FALSE(q.pending(reused));
+  EXPECT_FALSE(q.pending(kInvalidEventId));
+}
+
+TEST(EventQueueTest, PeriodicStaysPendingInsideItsTickUntilItCancels) {
+  EventQueue q;
+  EventId id = kInvalidEventId;
+  std::vector<bool> seen;
+  id = q.schedule_periodic(at_us(1), Duration::from_us(1), [&] {
+    seen.push_back(q.pending(id));
+    q.cancel(id);
+    seen.push_back(q.pending(id));
+  });
+  q.pop().callback();
+  EXPECT_EQ(seen, (std::vector<bool>{true, false}));
+}
+
 TEST(EventQueueTest, NextTimeSkipsCancelled) {
   EventQueue q;
   const EventId early = q.schedule(at_us(1), [] {});

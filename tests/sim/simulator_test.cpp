@@ -123,22 +123,6 @@ TEST(PeriodicTaskTest, TickMayRestartItself) {
   EXPECT_GT(ticks, 3);
 }
 
-TEST(PeriodicTaskTest, SetPeriodTakesEffectNextArm) {
-  Simulator sim;
-  std::vector<std::int64_t> times;
-  PeriodicTask task(sim, 10_ms, [&] { times.push_back(sim.now().us()); });
-  task.start();
-  sim.run_for(10_ms);
-  // The tick at t=10 already re-armed itself for t=20 with the old period;
-  // the new period applies from the arm after that.
-  task.set_period(20_ms);
-  sim.run_for(50_ms);
-  ASSERT_GE(times.size(), 3u);
-  EXPECT_EQ(times[0], 10000);
-  EXPECT_EQ(times[1], 20000);
-  EXPECT_EQ(times[2], 40000);
-}
-
 TEST(PeriodicTaskTest, RejectsBadConstruction) {
   Simulator sim;
   EXPECT_THROW(PeriodicTask(sim, Duration::zero(), [] {}), std::invalid_argument);
@@ -217,6 +201,90 @@ TEST(PeriodicTaskTest, StartNowArmsBehindEventsTheTickSchedules) {
   task.start_now();
   sim.run_for(10_ms);
   EXPECT_EQ(order, (std::vector<char>{'t', 'e', 't'}));
+}
+
+TEST(TimerTest, RearmingReplacesThePendingFiring) {
+  Simulator sim;
+  std::vector<std::int64_t> times;
+  Timer timer(sim);
+  timer.after(5_ms, [&] { times.push_back(sim.now().us()); });
+  timer.after(8_ms, [&] { times.push_back(sim.now().us()); });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(timer.deadline(), TimePoint::from_us(8000));
+  sim.run_for(20_ms);
+  EXPECT_EQ(times, (std::vector<std::int64_t>{8000}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(TimerTest, ArmedIsFalseInsideItsOwnFiring) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<bool> seen;
+  timer.after(1_ms, [&] {
+    seen.push_back(timer.armed());
+    if (seen.size() == 1) timer.after(Duration::zero(), [&] { seen.push_back(timer.armed()); });
+  });
+  EXPECT_TRUE(timer.armed());
+  sim.run_for(2_ms);
+  EXPECT_EQ(seen, (std::vector<bool>{false, false}));
+  EXPECT_EQ(sim.dispatched_events(), 2u);
+}
+
+TEST(TimerTest, ArmedIsTrueForAFiringDueNowButNotYetRun) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<bool> seen;
+  // The plain event runs first at t = 1 ms and sees the timer still queued
+  // for that instant.
+  sim.after(1_ms, [&] { seen.push_back(timer.armed()); });
+  timer.after(1_ms, [] {});
+  sim.run_for(1_ms);
+  EXPECT_EQ(seen, (std::vector<bool>{true}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(TimerTest, DestroyingTheTimerCancelsItsFiring) {
+  Simulator sim;
+  int fired = 0;
+  {
+    Timer timer(sim);
+    timer.after(1_ms, [&] { ++fired; });
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_for(10_ms);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(TimerTest, CancelAfterTheFiringLeavesAnEventInTheReusedSlotAlone) {
+  Simulator sim;
+  Timer timer(sim);
+  bool other_fired = false;
+  timer.after(1_ms, [&] {
+    // The timer's slot was freed before this callback ran, so this event
+    // takes it over; cancel() must not mistake it for the timer's.
+    sim.after(Duration::zero(), [&] { other_fired = true; });
+    timer.cancel();
+    EXPECT_EQ(sim.pending_events(), 1u);
+  });
+  sim.run_for(1_ms);
+  EXPECT_TRUE(other_fired);
+}
+
+TEST(TimerTest, FiresInScheduleOrderWithPlainEventsAtTheSameInstant) {
+  Simulator sim;
+  std::vector<char> order;
+  const TimePoint t = TimePoint::from_us(1000);
+  Timer timer(sim);
+  sim.at(t, [&] { order.push_back('a'); });
+  timer.at(t, [&] { order.push_back('x'); });
+  sim.at(t, [&] { order.push_back('b'); });
+  // Re-arming gives up the old place and queues behind 'b', exactly like a
+  // cancel followed by a fresh schedule.
+  timer.at(t, [&] { order.push_back('t'); });
+  sim.at(t, [&] { order.push_back('c'); });
+  sim.run_for(1_ms);
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 't', 'c'}));
 }
 
 }  // namespace
